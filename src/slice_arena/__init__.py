@@ -8,9 +8,7 @@ operational timescale.
 from importlib import resources
 
 from .adversary import AttackConfig, ForgeryAdversary, PoisonedEnv
-from .baselines import (InstanceTooLargeError, assignment_cost,
-                        enumerate_assignments, myopic_exhaustive_decision,
-                        random_policy_decision)
+from .baselines import myopic_exhaustive_decision, random_policy_decision
 from .config import (ConfigParseError, ConfigValidationError, ScenarioConfig,
                      load_config, parse_config)
 from .dimensioning import (DimensioningResult, InfeasibleBudgetError,

@@ -24,6 +24,7 @@ large-timescale sizing step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -250,9 +251,12 @@ def _as_int(sec: _Section, key: str, source: str) -> int:
 
 def _parse_number(value: str, source: str, line: int, kind) -> float:
     try:
-        return kind(value.strip())
+        number = kind(value.strip())
     except ValueError:
         raise ConfigParseError(source, line, f"expected {kind.__name__}, got {value.strip()!r}") from None
+    if not math.isfinite(number):
+        raise ConfigParseError(source, line, f"expected a finite number, got {value.strip()!r}")
+    return number
 
 
 def _parse_seeds(raw: str, line: int, source: str) -> Tuple[int, ...]:

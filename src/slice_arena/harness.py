@@ -42,10 +42,6 @@ MODEL_CHECKPOINT = "model.ckpt"
 ATTACKED_CHECKPOINT = "attacked_model.ckpt"
 ENSEMBLE_DIRNAME = "ensemble"
 
-# full per-slot enumeration is exact but exponential; above this many
-# candidate assignments the optimal runner decides requests one at a time
-FULL_ENUMERATION_LIMIT = 20_000
-
 _STREAM_RANDOM_POLICY = 41
 
 
@@ -142,25 +138,19 @@ def run_random(scenario: ScenarioConfig, seeds: Sequence[int],
 def run_optimal(scenario: ScenarioConfig, seeds: Sequence[int],
                 label: str = "optimal") -> List[EpisodeRecord]:
     """Myopic exhaustive placement: per slot, the assignment minimizing
-    expected power minus priority bonus. Falls back to one-request-at-a-time
-    optimization when the slot's joint space is too large to enumerate."""
+    expected power minus priority bonus, planned once for all of the slot's
+    requests."""
     by_id = {s.slice_id: s for s in scenario.slices}
-    n_choices = len(scenario.datacenters) + 1
     records = []
     for seed in seeds:
         env = SliceEnv(scenario)
         env.reset(int(seed))
         plan: deque = deque()
-        plan_slot = -1
         while not env.episode_done():
-            slot = env.state.slot_index
-            if slot != plan_slot or not plan:
+            if not plan:
                 requests = [by_id[sid] for sid in env.state.pending]
-                if n_choices ** len(requests) > FULL_ENUMERATION_LIMIT:
-                    requests = requests[:1]
                 plan = deque(myopic_exhaustive_decision(
                     requests, env.state, scenario.kappa, scenario.datacenters))
-                plan_slot = slot
             env.step(int(plan.popleft()))
         records.append(EpisodeRecord(scenario=label, seed=int(seed),
                                      slot_log=list(env.slot_log)))

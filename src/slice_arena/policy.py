@@ -242,11 +242,6 @@ def backward_gradients(params: MlpParameters, observation: np.ndarray, action: i
                           np.array([entropy_weight]))
 
 
-def entropy_of(probs: np.ndarray) -> np.ndarray:
-    logp = np.log(np.maximum(probs, _TINY))
-    return -(probs * logp).sum(axis=-1)
-
-
 # ---------------------------------------------------------------- optimizer
 
 @dataclass

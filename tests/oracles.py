@@ -5,6 +5,8 @@ not against the library's code paths, so a shared bug cannot cancel out.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -63,3 +65,51 @@ def numerical_gradient(f, x, eps: float = 1e-6):
         bump[i] = eps
         grad[i] = (f(x + bump) - f(x - bump)) / (2.0 * eps)
     return grad
+
+
+def enumerate_assignments(requests, state):
+    """Every joint choice over {REJECT, 1..N} per request, lexicographic."""
+    n_options = len(state.remaining) + 1
+    return list(itertools.product(range(n_options), repeat=len(requests)))
+
+
+def assignment_cost(assignment, requests, state, kappa, datacenters):
+    """Slot cost of a joint assignment, or None when it is infeasible.
+
+    Replays the placements in request order on plain float lists: a DC must
+    cover the demand component by component when the placement is made, and
+    the slice must still have a free chain slot. Each admission adds the
+    DC's power midpoint and the slice's priority.
+    """
+    remaining = [list(r.as_tuple()) for r in state.remaining]
+    chains = {}
+    for chain in state.chains:
+        chains[chain.slice_id] = chains.get(chain.slice_id, 0) + 1
+    power = sum(chain.power for chain in state.chains)
+    bonus = 0.0
+    for choice, spec in zip(assignment, requests):
+        if choice == 0:
+            continue
+        have = remaining[choice - 1]
+        need = spec.demand.as_tuple()
+        if chains.get(spec.slice_id, 0) >= spec.chain_capacity:
+            return None
+        if any(h < n for h, n in zip(have, need)):
+            return None
+        remaining[choice - 1] = [h - n for h, n in zip(have, need)]
+        chains[spec.slice_id] = chains.get(spec.slice_id, 0) + 1
+        lo, hi = datacenters[choice - 1].power_range
+        power += (lo + hi) / 2.0
+        bonus += spec.priority
+    return power - kappa * bonus
+
+
+def brute_force_decision(requests, state, kappa, datacenters):
+    """The first minimum-cost feasible assignment in lexicographic order,
+    found by scoring every assignment vector."""
+    best, best_cost = None, None
+    for assignment in enumerate_assignments(requests, state):
+        cost = assignment_cost(assignment, requests, state, kappa, datacenters)
+        if cost is not None and (best_cost is None or cost < best_cost):
+            best, best_cost = assignment, cost
+    return best

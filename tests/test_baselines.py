@@ -2,14 +2,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slice_arena.baselines import (InstanceTooLargeError, assignment_cost,
-                                   enumerate_assignments,
-                                   myopic_exhaustive_decision,
+from slice_arena.baselines import (myopic_exhaustive_decision,
                                    random_policy_decision)
 from slice_arena.env import Chain, ClusterState, ResourceVector
 
 from conftest import make_dc, make_slice
+from oracles import assignment_cost, brute_force_decision, enumerate_assignments
 
 
 def cluster(remaining, chains=()):
@@ -66,15 +67,6 @@ class TestEnumeration:
         got = enumerate_assignments([spec, spec], state)
         assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
                        (1, 2), (2, 0), (2, 1), (2, 2)]
-
-    def test_guard_boundary(self):
-        # 3^12 = 531441 fits the guard; 3^13 = 1594323 exceeds it
-        starved = cluster([rv(1, 1, 1), rv(1, 1, 1)])
-        got = myopic_exhaustive_decision([make_slice()] * 12, starved, 100.0,
-                                         (make_dc("dc1"), make_dc("dc2")))
-        assert got == (0,) * 12
-        with pytest.raises(InstanceTooLargeError):
-            enumerate_assignments([make_slice()] * 13, starved)
 
 
 class TestAssignmentCost:
@@ -156,11 +148,46 @@ class TestMyopicExhaustive:
                                          two_dcs)
         assert got == (0, 0, 0)
 
-    def test_guard(self, two_dcs):
+    def test_large_slot_planned_whole(self, two_dcs):
+        # 13 requests, 3^13 assignment vectors: the chain cap admits 8 and
+        # memory fits 7 per DC; rejects come first, then DC 1 before DC 2
         state = cluster([rv(32, 50, 5000), rv(32, 50, 5000)])
-        with pytest.raises(InstanceTooLargeError):
-            myopic_exhaustive_decision([make_slice()] * 13, state, 1000.0,
-                                       two_dcs)
+        got = myopic_exhaustive_decision([make_slice(chain_capacity=8)] * 13,
+                                         state, 1000.0, two_dcs)
+        assert got == (0,) * 5 + (1,) * 7 + (2,)
+
+    def test_starved_large_slot_rejects_all(self, two_dcs):
+        starved = cluster([rv(1, 1, 1), rv(1, 1, 1)])
+        low, high = make_slice("low"), make_slice("high", priority=3.0)
+        got = myopic_exhaustive_decision([low, high] * 10, starved, 1000.0,
+                                         two_dcs)
+        assert got == (0,) * 20
+
+    def test_rounding_miss_takes_next_arrangement(self):
+        # replayed in request order, 0.6 - 0.5 no longer covers 0.1, so the
+        # canonical (0, 1, 1) does not fit while (1, 1, 0) does
+        a = make_slice("a", demand=(0.1, 1, 1), chain_capacity=1)
+        b = make_slice("b", demand=(0.5, 1, 1), chain_capacity=1)
+        state = cluster([rv(0.6, 10, 10)])
+        dcs = (make_dc("dc1", power=(100, 100)),)
+        assert assignment_cost((0, 1, 1), [a, b, a], state, 1000.0, dcs) is None
+        assert myopic_exhaustive_decision([a, b, a], state, 1000.0, dcs) \
+            == (1, 1, 0)
+
+    def test_count_arithmetic_does_not_cut_a_fit(self):
+        # 0.6 + 1.1 rounds above 1.7, but 1.7 - 0.6 still covers 1.1
+        a = make_slice("a", demand=(0.6, 1, 1))
+        b = make_slice("b", demand=(1.1, 1, 1))
+        state = cluster([rv(1.7, 10, 10)])
+        dcs = (make_dc("dc1", power=(100, 100)),)
+        assert myopic_exhaustive_decision([a, b], state, 1000.0, dcs) == (1, 1)
+
+    def test_one_slice_id_with_two_specs_rejected(self, two_dcs):
+        state = cluster([rv(32, 50, 5000), rv(32, 50, 5000)])
+        with pytest.raises(ValueError, match="differ"):
+            myopic_exhaustive_decision(
+                [make_slice("s1"), make_slice("s1", priority=2.0)], state,
+                1000.0, two_dcs)
 
     def test_beats_every_enumerated_assignment(self, two_dcs):
         rng = np.random.default_rng(17)
@@ -182,7 +209,7 @@ class TestMyopicExhaustive:
             assert got_cost is not None
             # independent check over the full assignment space
             for assignment in enumerate_assignments(specs, state):
-                cost = reference_cost(assignment, specs, state, kappa, two_dcs)
+                cost = assignment_cost(assignment, specs, state, kappa, two_dcs)
                 if cost is not None:
                     assert got_cost <= cost + 1e-9
 
@@ -195,34 +222,60 @@ class TestMyopicExhaustive:
             spec = make_slice(priority=float(rng.integers(1, 5)))
             kappa = float(rng.choice([1.0, 500.0]))
             got = myopic_exhaustive_decision([spec], state, kappa, two_dcs)
-            costs = [reference_cost((c,), [spec], state, kappa, two_dcs)
+            costs = [assignment_cost((c,), [spec], state, kappa, two_dcs)
                      for c in range(3)]
             feasible = [(cost, c) for c, cost in enumerate(costs) if cost is not None]
             want = min(feasible)[1]
             assert got == (want,)
 
 
-def reference_cost(assignment, specs, state, kappa, dcs):
-    """Test-side reimplementation of the slot cost of a joint assignment."""
-    remaining = {i: list(state.remaining[i].as_tuple()) for i in range(len(dcs))}
-    admitted_by_slice = {}
-    power = sum(c.power for c in state.chains)
-    bonus = 0.0
-    for choice, spec in zip(assignment, specs):
-        if choice == 0:
-            continue
-        i = choice - 1
-        have = remaining[i]
-        need = spec.demand.as_tuple()
-        already = sum(1 for c in state.chains if c.slice_id == spec.slice_id)
-        already += admitted_by_slice.get(spec.slice_id, 0)
-        if already >= spec.chain_capacity:
-            return None
-        if any(h < n for h, n in zip(have, need)):
-            return None
-        remaining[i] = [h - n for h, n in zip(have, need)]
-        admitted_by_slice[spec.slice_id] = admitted_by_slice.get(spec.slice_id, 0) + 1
-        lo, hi = dcs[i].power_range
-        power += (lo + hi) / 2.0
-        bonus += spec.priority
-    return power - kappa * bonus
+
+@st.composite
+def slot_instances(draw):
+    """A slot decision problem with exact cost arithmetic (integer
+    priorities, kappa and chain powers; half-integer midpoints), so that
+    cost ties are exact and the tie rule is well defined. Demands lie on a
+    0.1 grid and each DC has room for a few requests give or take a tenth,
+    so placements fit or miss at the margin, where the order of the
+    subtractions can decide."""
+    n_dcs = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        ranges = [(150.0, 150.0)] * n_dcs
+    else:
+        ranges = [(float(lo), float(lo + width)) for lo, width in
+                  draw(st.lists(st.tuples(st.integers(50, 200),
+                                          st.integers(0, 101)),
+                                min_size=n_dcs, max_size=n_dcs))]
+    dcs = tuple(make_dc(f"dc{j}", power=power) for j, power in enumerate(ranges))
+    tenths = [tuple(draw(st.integers(1, 20)) for _ in range(3))
+              for _ in range(draw(st.integers(1, 3)))]
+    slices = [make_slice(f"s{i}", priority=float(draw(st.integers(1, 3))),
+                         demand=tuple(t / 10 for t in demand),
+                         chain_capacity=draw(st.integers(1, 4)))
+              for i, demand in enumerate(tenths)]
+    remaining = []
+    for _ in range(n_dcs):
+        room = draw(st.lists(st.sampled_from(tenths), min_size=1, max_size=4))
+        remaining.append(rv(*(
+            max(0, sum(demand[c] for demand in room)
+                + draw(st.integers(-1, 1))) / 10 for c in range(3))))
+    max_requests = (8, 7, 6)[n_dcs - 1]
+    requests = draw(st.lists(st.sampled_from(slices), min_size=1,
+                             max_size=max_requests))
+    chains = [Chain(slices[s].slice_id, dc, float(power), depart_after=99,
+                    admitted_slot=0)
+              for s, dc, power in draw(st.lists(
+                  st.tuples(st.integers(0, len(slices) - 1),
+                            st.integers(0, n_dcs - 1), st.integers(50, 200)),
+                  max_size=3))]
+    kappa = draw(st.sampled_from([100.0, 1000.0]))
+    return requests, cluster(remaining, chains), kappa, dcs
+
+
+class TestAgainstBruteForce:
+    @given(slot_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_equals_brute_force(self, instance):
+        requests, state, kappa, dcs = instance
+        assert myopic_exhaustive_decision(requests, state, kappa, dcs) \
+            == brute_force_decision(requests, state, kappa, dcs)

@@ -28,6 +28,14 @@ MINIMAL = textwrap.dedent("""\
     delay_budget = 1.07
 """)
 
+# a non-finite value for each key where one would parse, and its line
+NON_FINITE = {
+    "kappa": ("kappa = nan\n" + MINIMAL, 1),
+    "m_penalty": ("m_penalty = inf\n" + MINIMAL, 1),
+    "priority": (MINIMAL.replace("priority = 1", "priority = nan"), 9),
+    "power_low": (MINIMAL.replace("power_low = 10", "power_low = -inf"), 5),
+    "power_high": (MINIMAL.replace("power_high = 20", "power_high = inf"), 6),
+}
 
 class TestPaperConfig:
     def test_bundled_scenario_values(self, paper_cfg):
@@ -111,6 +119,14 @@ class TestParsing:
         with pytest.raises(ConfigParseError) as err:
             parse_config(MINIMAL.replace("cpu = 4", "cpu = lots"))
         assert "lots" in str(err.value)
+
+    @pytest.mark.parametrize("key", sorted(NON_FINITE))
+    def test_non_finite_value_has_line_number(self, key):
+        text, line = NON_FINITE[key]
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(text)
+        assert err.value.line == line
+        assert "finite" in str(err.value)
 
 
 class TestValidation:
