@@ -23,7 +23,7 @@ from .ensemble import (EnsembleManifestError, EnsembleSpec,
 from .env import (REJECT, Chain, ClusterState, DataCenterSpec,
                   InvalidDecisionError, InvalidScenarioError,
                   NoPendingRequestError, ResourceVector, SliceEnv, SliceSpec,
-                  StepOutcome, admission_feasible, slot_cost)
+                  StepOutcome, admission_feasible)
 from .harness import (SCENARIO_NAMES, MissingCheckpointError, ScenarioResult,
                       compare, run_scenario, sweep, train_defense_ensemble,
                       train_single_models, write_results)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .env import PENDING_CAP, REJECT, SliceEnv, StepOutcome
+from .metrics import power_scale
 
 _STREAM_ATTACK = 21
 
@@ -83,9 +84,7 @@ class ForgeryAdversary:
 
     def __init__(self, scenario: ScenarioConfig) -> None:
         self.scenario = scenario
-        # power ceiling if every deployable chain ran at the priciest top
-        top = max(hi for _, hi in (dc.power_range for dc in scenario.datacenters))
-        self._power_scale = top * sum(s.chain_capacity for s in scenario.slices)
+        self._power_scale = power_scale(scenario)
 
     def forge_observation(self, true_state, rng) -> np.ndarray:
         """Draw a fresh, feasible-looking observation of the true layout.

@@ -13,6 +13,11 @@ Member selection is keyed by (selection_seed, global slot index), so a
 serving schedule is reproducible and independent of every environment
 stream. The ensemble round-trips through a plain-text manifest next to one
 checkpoint file per member.
+
+Greedy evaluation steps the episodes of all seeds in lockstep, with one
+batched forward per serving member per step; a single policy is a
+one-member ensemble. Every environment keeps its own seeded streams, so
+the records are those of running the seeds one after another.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +33,8 @@ from .adversary import AttackConfig, PoisonedEnv
 from .config import ScenarioConfig
 from .env import SliceEnv
 from .metrics import EpisodeRecord, RunMetrics, aggregate
-from .policy import (MlpParameters, greedy_action, load_checkpoint,
+# policy_forward stays importable here: the per-layer tracer wraps it
+from .policy import (MlpParameters, forward_batch, load_checkpoint,
                      policy_forward, save_checkpoint)
 from .ppo import PpoConfig, train
 
@@ -126,8 +132,43 @@ def select_model(spec: EnsembleSpec, slot_index: int, rng=None) -> int:
     return int(rng.integers(len(spec.member_configs)))
 
 
-def greedy_decision(params: MlpParameters, observation) -> int:
-    return greedy_action(policy_forward(params, observation))
+def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
+                     seeds: Sequence[int], attack: Optional[AttackConfig],
+                     name: str, model_index: int,
+                     serve: Optional[Callable[[int], int]] = None,
+                     ) -> Tuple[RunMetrics, List[EpisodeRecord]]:
+    """Greedy episodes of all seeds in lockstep. serve maps a global slot
+    index (episode index * horizon + slot) to the member deciding it;
+    without it member 0 decides and no member map is recorded."""
+    envs = [SliceEnv(scenario) for _ in seeds]
+    wrapped = [PoisonedEnv(env, attack) if attack is not None else env
+               for env in envs]
+    obs = [w.reset(int(seed)) for w, seed in zip(wrapped, seeds)]
+    member_maps: List[Dict[int, int]] = [{} for _ in seeds]
+    live = [i for i, w in enumerate(wrapped) if not w.episode_done()]
+    while live:
+        groups: Dict[int, List[int]] = {}
+        for i in live:
+            member = 0
+            if serve is not None:
+                by_slot, slot = member_maps[i], envs[i].state.slot_index
+                if slot not in by_slot:
+                    by_slot[slot] = serve(i * scenario.horizon + slot)
+                member = by_slot[slot]
+            groups.setdefault(member, []).append(i)
+        for member, group in groups.items():
+            probs, _, _ = forward_batch(members[member],
+                                        np.stack([obs[i] for i in group]))
+            for i, action in zip(group, probs.argmax(axis=1)):
+                obs[i] = wrapped[i].step(int(action)).observation
+        live = [i for i in live if not wrapped[i].episode_done()]
+    records = [EpisodeRecord(
+        scenario=name, seed=int(seed), slot_log=list(env.slot_log),
+        model_index=model_index,
+        member_by_slot=member_map if serve is not None else None,
+        attacked_by_slot=dict(w.attacked_by_slot) if attack is not None else {})
+        for seed, env, w, member_map in zip(seeds, envs, wrapped, member_maps)]
+    return aggregate(records, scenario), records
 
 
 def evaluate_policy(params: MlpParameters, scenario: ScenarioConfig,
@@ -139,22 +180,7 @@ def evaluate_policy(params: MlpParameters, scenario: ScenarioConfig,
     Metrics always come from the true environment; the adversary only
     corrupts what the policy sees.
     """
-    records = []
-    for seed in seeds:
-        env = SliceEnv(scenario)
-        wrapped = PoisonedEnv(env, attack) if attack is not None else env
-        obs = wrapped.reset(int(seed))
-        while not wrapped.episode_done():
-            obs = wrapped.step(greedy_decision(params, obs)).observation
-        records.append(EpisodeRecord(
-            scenario=name,
-            seed=int(seed),
-            slot_log=list(env.slot_log),
-            model_index=model_index,
-            attacked_by_slot=dict(wrapped.attacked_by_slot)
-            if attack is not None else {},
-        ))
-    return aggregate(records, scenario), records
+    return _greedy_lockstep([params], scenario, seeds, attack, name, model_index)
 
 
 def evaluate_under_attack(spec: EnsembleSpec, scenario: ScenarioConfig,
@@ -174,29 +200,9 @@ def evaluate_under_attack(spec: EnsembleSpec, scenario: ScenarioConfig,
     if seeds is None:
         episodes = max(1, math.ceil(slots / scenario.horizon))
         seeds = tuple(70_001 + i for i in range(episodes))
-    records = []
-    for episode_index, seed in enumerate(seeds):
-        env = SliceEnv(scenario)
-        wrapped = PoisonedEnv(env, attack)
-        offset = episode_index * scenario.horizon
-        member_by_slot: Dict[int, int] = {}
-        obs = wrapped.reset(int(seed))
-        while not wrapped.episode_done():
-            slot = env.state.slot_index
-            if slot not in member_by_slot:
-                member_by_slot[slot] = select_model(spec, offset + slot)
-            member = member_by_slot[slot]
-            obs = wrapped.step(
-                greedy_decision(spec.parameters[member], obs)).observation
-        records.append(EpisodeRecord(
-            scenario=name,
-            seed=int(seed),
-            slot_log=list(env.slot_log),
-            model_index=-1,
-            member_by_slot=member_by_slot,
-            attacked_by_slot=dict(wrapped.attacked_by_slot),
-        ))
-    return aggregate(records, scenario), records
+    return _greedy_lockstep(spec.parameters, scenario, seeds, attack, name,
+                            model_index=-1,
+                            serve=lambda slot: select_model(spec, slot))
 
 
 def train_ensemble(scenario: ScenarioConfig, member_configs: Sequence[PpoConfig],

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -192,17 +192,6 @@ def admission_feasible(state: ClusterState, slice_spec: SliceSpec, dc_index: int
     if state.active_count(slice_spec.slice_id) >= slice_spec.chain_capacity:
         return False
     return state.remaining[dc_index].covers(slice_spec.demand)
-
-
-def slot_cost(state: ClusterState, admitted_this_slot: Sequence[str], kappa: float,
-              priorities: Mapping[str, float]) -> float:
-    """Settled cost of the current slot under utilization-dependent power.
-
-    phi_tot sums power over every active chain in the ledger; each admission
-    this slot earns back kappa times its slice priority.
-    """
-    bonus = sum(priorities[sid] for sid in admitted_this_slot)
-    return state.total_power() - kappa * bonus
 
 
 class SliceEnv:

@@ -113,3 +113,41 @@ def brute_force_decision(requests, state, kappa, datacenters):
         if cost is not None and (best_cost is None or cost < best_cost):
             best, best_cost = assignment, cost
     return best
+
+
+def greedy_episodes_reference(members, scenario, seeds, attack=None,
+                              serve=None):
+    """Greedy episodes run one seed after another, one batch-1 forward per
+    decision: the per-seed loop that lockstep evaluation replaces.
+
+    serve maps a global slot index (episode index * horizon + slot) to a
+    member; without it member 0 decides every step. Returns one
+    (slot_log, attacked_by_slot, member_by_slot) tuple per seed, with
+    member_by_slot None when serve is None.
+    """
+    from slice_arena.adversary import PoisonedEnv
+    from slice_arena.env import SliceEnv
+    from slice_arena.policy import policy_forward
+
+    episodes = []
+    for episode_index, seed in enumerate(seeds):
+        env = SliceEnv(scenario)
+        wrapped = PoisonedEnv(env, attack) if attack is not None else env
+        member_by_slot = {}
+        obs = wrapped.reset(int(seed))
+        while not wrapped.episode_done():
+            member = 0
+            if serve is not None:
+                slot = env.state.slot_index
+                if slot not in member_by_slot:
+                    member_by_slot[slot] = serve(
+                        episode_index * scenario.horizon + slot)
+                member = member_by_slot[slot]
+            probs = policy_forward(members[member], obs).action_probabilities
+            obs = wrapped.step(int(np.argmax(probs))).observation
+        episodes.append((
+            list(env.slot_log),
+            dict(wrapped.attacked_by_slot) if attack is not None else {},
+            member_by_slot if serve is not None else None,
+        ))
+    return episodes

@@ -13,6 +13,7 @@ from slice_arena.policy import init_parameters
 from slice_arena.ppo import PpoConfig
 
 from conftest import make_scenario, make_slice
+from oracles import greedy_episodes_reference
 
 
 def dummy_spec(members=4, selection_seed=0, **kwargs):
@@ -310,6 +311,112 @@ class TestEvaluation:
         offset = tiny_scenario.horizon
         for slot, member in second.member_by_slot.items():
             assert member == select_model(spec, offset + slot)
+
+
+class TestLockstep:
+    """The lockstep driver against the per-seed batch-1 reference loop."""
+
+    # episodes of 45, 50, 55 and 54 decisions: environments leave the
+    # lockstep batch at different steps
+    SEEDS = (1, 2, 3, 4)
+
+    def varied_members(self, scenario, count):
+        """Members whose greedy choice depends on the observation, each in
+        its own way (admit-heavy, reject-heavy, mixed)."""
+        from slice_arena.env import SliceEnv
+        env = SliceEnv(scenario)
+        members = []
+        for i in range(count):
+            params = init_parameters(env.observation_size, env.n_actions,
+                                     hidden=(8,), seed=i)
+            rng = np.random.default_rng(i)
+            w, b = params.actor[0]
+            params.actor[0] = (rng.normal(0, 4, w.shape),
+                               rng.normal(0, 2, b.shape))
+            w, b = params.actor[-1]
+            params.actor[-1] = (rng.normal(0, 2, w.shape), b)
+            members.append(params)
+        return members
+
+    def assert_matches(self, records, reference):
+        decisions = [sum(s.decisions for s in r.slot_log) for r in records]
+        assert len(set(decisions)) == len(decisions)
+        assert len(records) == len(reference)
+        for record, (slot_log, attacked, member_by_slot) in zip(records,
+                                                                 reference):
+            assert record.slot_log == slot_log
+            assert record.attacked_by_slot == attacked
+            assert record.member_by_slot == member_by_slot
+            if member_by_slot is not None:
+                assert list(record.member_by_slot) == list(member_by_slot)
+
+    def count_forward_batch(self, monkeypatch):
+        import slice_arena.ensemble as ensemble
+        rows = []
+        original = ensemble.forward_batch
+
+        def counting(params, observations):
+            rows.append(len(observations))
+            return original(params, observations)
+
+        monkeypatch.setattr(ensemble, "forward_batch", counting)
+        return rows
+
+    def test_clean_policy_matches_reference(self, tiny_scenario):
+        params = self.varied_members(tiny_scenario, 1)[0]
+        _, records = evaluate_policy(params, tiny_scenario, self.SEEDS)
+        self.assert_matches(records, greedy_episodes_reference(
+            [params], tiny_scenario, self.SEEDS))
+
+    def test_attacked_policy_matches_reference(self, tiny_scenario):
+        params = self.varied_members(tiny_scenario, 3)[2]
+        attack = AttackConfig(attack_probability=0.5, seed=9)
+        _, records = evaluate_policy(params, tiny_scenario, self.SEEDS,
+                                     attack=attack)
+        assert any(r.attacked_by_slot for r in records)
+        self.assert_matches(records, greedy_episodes_reference(
+            [params], tiny_scenario, self.SEEDS, attack=attack))
+
+    def test_ensemble_matches_reference(self, tiny_scenario):
+        members = self.varied_members(tiny_scenario, 4)
+        spec = EnsembleSpec(member_configs=default_member_configs(),
+                            parameters=members, selection_seed=4)
+        attack = AttackConfig(attack_probability=0.3, seed=2)
+        _, records = evaluate_under_attack(spec, tiny_scenario, attack,
+                                           seeds=self.SEEDS)
+        reference = greedy_episodes_reference(
+            members, tiny_scenario, self.SEEDS, attack=attack,
+            serve=lambda slot: select_model(spec, slot))
+        assert {m for r in records for m in r.member_by_slot.values()} == \
+            {0, 1, 2, 3}
+        self.assert_matches(records, reference)
+
+    def test_one_batched_forward_per_step(self, tiny_scenario, monkeypatch):
+        params = self.varied_members(tiny_scenario, 1)[0]
+        rows = self.count_forward_batch(monkeypatch)
+        _, records = evaluate_policy(params, tiny_scenario, self.SEEDS)
+        decisions = [sum(s.decisions for s in r.slot_log) for r in records]
+        # one call per lockstep step, over the environments still live
+        assert len(rows) == max(decisions)
+        assert rows == [sum(d > step for d in decisions)
+                        for step in range(max(decisions))]
+
+    def test_one_batched_forward_per_member_per_step(self, tiny_scenario,
+                                                     monkeypatch):
+        members = self.varied_members(tiny_scenario, 4)
+        spec = EnsembleSpec(member_configs=default_member_configs(),
+                            parameters=members, selection_seed=4)
+        attack = AttackConfig(attack_probability=0.3, seed=2)
+        rows = self.count_forward_batch(monkeypatch)
+        _, records = evaluate_under_attack(spec, tiny_scenario, attack,
+                                           seeds=self.SEEDS)
+        # the member deciding each step of each episode, in step order
+        serving = [[r.member_by_slot[s.slot] for s in r.slot_log
+                    for _ in range(s.decisions)] for r in records]
+        present = [len({seq[step] for seq in serving if step < len(seq)})
+                   for step in range(max(len(seq) for seq in serving))]
+        assert len(rows) <= sum(present)
+        assert sum(rows) == sum(len(seq) for seq in serving)
 
 
 class TestTrainEnsemble:

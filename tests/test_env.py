@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slice_arena import (REJECT, ClusterState, InvalidDecisionError,
                          NoPendingRequestError, ResourceVector, SliceEnv,
-                         admission_feasible, slot_cost)
+                         admission_feasible)
 from slice_arena.env import PENDING_CAP, _geometric_lifetime
 
 from conftest import make_dc, make_scenario, make_slice
@@ -87,10 +87,25 @@ class TestFeasibilityAndCost:
         assert admission_feasible(state, make_slice("s2", demand=(1, 1, 1)), 0)
 
     def test_slot_cost_hand_value(self):
-        from slice_arena import Chain
-        state = self._state((30, 43, 4970), [Chain("a", 0, 150.0, 5, 0)])
-        assert slot_cost(state, ["a"], 100.0, {"a": 1.0}) == pytest.approx(50.0)
-        assert slot_cost(state, [], 100.0, {"a": 1.0}) == pytest.approx(150.0)
+        # one chain slot, drawing exactly 150 and never departing; kappa 100
+        # and priority 1: the slot that admits it costs 150 - 100 = 50, the
+        # next slot, which still runs it but admits nothing, costs 150
+        sc = make_scenario(
+            datacenters=(make_dc(power=(150.0, 150.0)),),
+            slices=(make_slice("a", priority=1.0, arrival_mean=3.0,
+                               departure_prob=0.0, chain_capacity=1),),
+            kappa=100.0, horizon=2)
+        env = SliceEnv(sc)
+        env.reset(0)
+        env.step(1)
+        while env.state.slot_index == 0:
+            env.step(REJECT)
+        assert (env.slot_log[-1].slot, env.slot_log[-1].decisions) == (0, 2)
+        assert env.slot_log[-1].cost == pytest.approx(50.0)
+        while not env.episode_done():
+            env.step(REJECT)
+        assert (env.slot_log[-1].slot, env.slot_log[-1].decisions) == (1, 4)
+        assert env.slot_log[-1].cost == pytest.approx(150.0)
 
 
 class TestReset:
