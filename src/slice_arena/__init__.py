@@ -30,7 +30,7 @@ from .harness import (SCENARIO_NAMES, MissingCheckpointError, ScenarioResult,
 from .metrics import (METRICS_HEADER, EpisodeRecord, RunMetrics, aggregate,
                       power_scale, write_metrics)
 from .policy import (CheckpointFormatError, DimensionMismatchError,
-                     MlpParameters, greedy_action, init_parameters,
+                     MlpParameters, init_parameters,
                      load_checkpoint, policy_forward, sample_action,
                      save_checkpoint)
 from .ppo import (NonFiniteLossError, PpoConfig, Trajectory,

@@ -17,12 +17,10 @@ forged state would have produced, keeping the perceived episode coherent:
 The true environment is never touched. PoisonedEnv presents the forgery to
 the agent while the wrapped SliceEnv keeps evolving (and logging metrics)
 from the true state; identical action sequences leave identical true
-trajectories with or without the wrapper.
-
-apply_attack is the one-shot form of the same transformation (draw the
-Bernoulli, forge the observation, recompute the reward); PoisonedEnv splits
-it across the observation/reward boundary of a decision step but routes
-through the same two primitives.
+trajectories with or without the wrapper. Per decision step it draws the
+attack Bernoulli, forges the observation before the agent acts, and
+recomputes the reward after the true step, through forge_observation and
+forged_reward.
 """
 from __future__ import annotations
 
@@ -72,11 +70,6 @@ class StepContext:
     slot_final: bool
     admitted_priorities: Tuple[float, ...]
     current_priority: float
-
-
-_MID_SLOT_REJECT = StepContext(
-    decision=REJECT, demand_fraction=None, slot_final=False,
-    admitted_priorities=(), current_priority=0.0)
 
 
 class ForgeryAdversary:
@@ -130,17 +123,6 @@ class ForgeryAdversary:
                 bonus += context.current_priority
             reward -= phi_hat - sc.kappa * bonus
         return reward
-
-    def apply_attack(self, step: Tuple[np.ndarray, float], config: AttackConfig,
-                     rng, context: Optional[StepContext] = None):
-        """One-shot forgery: (observation, reward) -> (observation, reward,
-        attacked). Without a context the step is treated as a mid-slot
-        rejection, whose forged reward is zero."""
-        true_obs, true_reward = step
-        if not rng.random() < config.attack_probability:
-            return true_obs, float(true_reward), False
-        forged = self.forge_observation(None, rng)
-        return forged, self.forged_reward(context or _MID_SLOT_REJECT, forged), True
 
 
 class PoisonedEnv:

@@ -143,7 +143,7 @@ def overprovision_power_ratio(
 def _greedy_mean_power(scenario, capacity: int, slots: int, seed: int) -> float:
     from dataclasses import replace
 
-    from .env import REJECT, SliceEnv
+    from .env import REJECT, SliceEnv, run_episodes
 
     capped = replace(
         scenario,
@@ -151,17 +151,13 @@ def _greedy_mean_power(scenario, capacity: int, slots: int, seed: int) -> float:
         horizon=slots,
     )
     env = SliceEnv(capped)
-    env.reset(seed)
     n_dcs = len(capped.datacenters)
-    while env.has_pending():
-        slice_spec = env.current_request_slice()
-        decision = REJECT
-        for dc in range(n_dcs):
-            if env.admission_feasible(slice_spec.slice_id, dc):
-                decision = dc + 1
-                break
-        outcome = env.step(decision)
-        if outcome.episode_done:
-            break
+
+    def first_feasible_dc(live, _):
+        slice_id = env.current_request_slice().slice_id
+        return [next((dc + 1 for dc in range(n_dcs)
+                      if env.admission_feasible(slice_id, dc)), REJECT)]
+
+    run_episodes([env], [seed], first_feasible_dc)
     total = sum(rec.power for rec in env.slot_log)
     return total / max(1, slots)

@@ -14,10 +14,10 @@ serving schedule is reproducible and independent of every environment
 stream. The ensemble round-trips through a plain-text manifest next to one
 checkpoint file per member.
 
-Greedy evaluation steps the episodes of all seeds in lockstep, with one
-batched forward per serving member per step; a single policy is a
-one-member ensemble. Every environment keeps its own seeded streams, so
-the records are those of running the seeds one after another.
+Greedy evaluation runs the episodes of all seeds through env.run_episodes,
+with one batched forward per serving member per lockstep step; a single
+policy is a one-member ensemble. Every environment keeps its own seeded
+streams, so the records are those of running the seeds one after another.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .adversary import AttackConfig, PoisonedEnv
 from .config import ScenarioConfig
-from .env import SliceEnv
+from .env import SliceEnv, run_episodes
 from .metrics import EpisodeRecord, RunMetrics, aggregate
 # policy_forward stays importable here: the per-layer tracer wraps it
 from .policy import (MlpParameters, forward_batch, load_checkpoint,
@@ -143,10 +143,9 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
     envs = [SliceEnv(scenario) for _ in seeds]
     wrapped = [PoisonedEnv(env, attack) if attack is not None else env
                for env in envs]
-    obs = [w.reset(int(seed)) for w, seed in zip(wrapped, seeds)]
     member_maps: List[Dict[int, int]] = [{} for _ in seeds]
-    live = [i for i, w in enumerate(wrapped) if not w.episode_done()]
-    while live:
+
+    def decide(live, obs):
         groups: Dict[int, List[int]] = {}
         for i in live:
             member = 0
@@ -156,12 +155,14 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
                     by_slot[slot] = serve(i * scenario.horizon + slot)
                 member = by_slot[slot]
             groups.setdefault(member, []).append(i)
+        actions = {}
         for member, group in groups.items():
             probs, _, _ = forward_batch(members[member],
                                         np.stack([obs[i] for i in group]))
-            for i, action in zip(group, probs.argmax(axis=1)):
-                obs[i] = wrapped[i].step(int(action)).observation
-        live = [i for i in live if not wrapped[i].episode_done()]
+            actions.update(zip(group, probs.argmax(axis=1)))
+        return [actions[i] for i in live]
+
+    run_episodes(wrapped, seeds, decide)
     records = [EpisodeRecord(
         scenario=name, seed=int(seed), slot_log=list(env.slot_log),
         model_index=model_index,

@@ -28,6 +28,10 @@ slice the count of still-undecided requests this slot divided by 32, clipped
 to 1. The slice whose request is being decided is the first slice in
 scenario order with a nonzero pending entry.
 
+run_episodes is the one loop that steps episodes to their end: every
+evaluation (policies, baselines, the overprovisioning study) drives its
+environments through it, keeping its own state in the decide callback.
+
 Randomness is split over two streams so that consumption depends only on
 arrival counts, never on policy decisions: an arrival stream (one Poisson
 draw per slice per slot) and a request stream (one power uniform and one
@@ -40,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -226,15 +230,10 @@ class SliceEnv:
         )
         self.slot_log = []
         self._done = False
-        self._chain_counter = 0
         self._request_attrs = deque()  # (power_uniform, lifetime) aligned with pending
-        self._admitted_this_slot: List[str] = []
-        self._penalties_this_slot = 0.0
         self._always_on_power = None
         if sc.power_mode == "always_on":
             self._always_on_power = self._draw_always_on_power()
-        self._current_stats = {s.slice_id: SliceSlotStats() for s in sc.slices}
-        self._current_decisions = 0
         self._draw_arrivals()
         # slots with no arrivals need no decision; cross them right away (the
         # ledger is empty at reset so they carry zero cost)
@@ -380,7 +379,7 @@ class SliceEnv:
 
     def _settle_slot(self) -> float:
         """Close the current slot; returns the -cost contribution for the
-        step that decided its last request."""
+        step that decided its last request (or crossed it, if it was empty)."""
         state = self.state
         power = self._phi_tot()
         bonus = sum(self._priorities[sid] for sid in self._admitted_this_slot)
@@ -404,24 +403,8 @@ class SliceEnv:
     def _advance_through_empty_slots(self) -> float:
         """Cross slots that arrived empty; their cost accrues to the caller."""
         accrued = 0.0
-        state = self.state
-        while not self._done and not state.pending:
-            power = self._phi_tot()
-            self.slot_log.append(SlotRecord(
-                slot=state.slot_index,
-                power=power,
-                cost=power,
-                reward=-power,
-                decisions=0,
-                per_slice=self._current_stats,
-            ))
-            accrued -= power
-            self._sample_departures()
-            state.slot_index += 1
-            if state.slot_index >= self.scenario.horizon:
-                self._done = True
-            else:
-                self._draw_arrivals()
+        while not self._done and not self.state.pending:
+            accrued += self._settle_slot()
         return accrued
 
     def _sample_departures(self) -> None:
@@ -448,6 +431,20 @@ class SliceEnv:
                 if abs(g - w) > 1e-9:
                     raise AssertionError(
                         f"resource conservation violated on DC {dc.dc_id}: {got} != {want}")
+
+
+def run_episodes(envs: Sequence, seeds: Sequence[int],
+                 decide: Callable[[List[int], List[np.ndarray]], Sequence[int]],
+                 ) -> None:
+    """Reset envs[i] with seeds[i], then step every live episode in lockstep
+    until all are done. decide(live, observations) returns one action per
+    index in live; observations[i] is what envs[i] showed last."""
+    observations = [env.reset(int(seed)) for env, seed in zip(envs, seeds)]
+    live = [i for i, env in enumerate(envs) if not env.episode_done()]
+    while live:
+        for i, action in zip(live, decide(live, observations)):
+            observations[i] = envs[i].step(int(action)).observation
+        live = [i for i in live if not envs[i].episode_done()]
 
 
 def _geometric_lifetime(u: float, p: float) -> float:

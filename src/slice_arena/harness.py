@@ -31,7 +31,7 @@ from .config import ScenarioConfig
 from .ensemble import (EnsembleSpec, default_member_configs, evaluate_policy,
                        evaluate_under_attack, load_ensemble, save_ensemble,
                        train_ensemble)
-from .env import SliceEnv
+from .env import SliceEnv, run_episodes
 from .metrics import EpisodeRecord, RunMetrics, aggregate, write_metrics
 from .policy import load_checkpoint, save_checkpoint
 from .ppo import PpoConfig, train
@@ -120,19 +120,14 @@ def _load_defense(artifacts, selection_seed: int) -> EnsembleSpec:
 
 def run_random(scenario: ScenarioConfig, seeds: Sequence[int],
                label: str = "random") -> List[EpisodeRecord]:
-    records = []
-    for seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(seed), _STREAM_RANDOM_POLICY))))
-        env = SliceEnv(scenario)
-        env.reset(int(seed))
-        while not env.episode_done():
-            decision = random_policy_decision(env.state,
-                                              env.current_request_slice(), rng)
-            env.step(decision)
-        records.append(EpisodeRecord(scenario=label, seed=int(seed),
-                                     slot_log=list(env.slot_log)))
-    return records
+    envs = [SliceEnv(scenario) for _ in seeds]
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        (int(seed), _STREAM_RANDOM_POLICY)))) for seed in seeds]
+    run_episodes(envs, seeds, lambda live, _: [random_policy_decision(
+        envs[i].state, envs[i].current_request_slice(), rngs[i]) for i in live])
+    return [EpisodeRecord(scenario=label, seed=int(seed),
+                          slot_log=list(env.slot_log))
+            for seed, env in zip(seeds, envs)]
 
 
 def run_optimal(scenario: ScenarioConfig, seeds: Sequence[int],
@@ -141,20 +136,22 @@ def run_optimal(scenario: ScenarioConfig, seeds: Sequence[int],
     expected power minus priority bonus, planned once for all of the slot's
     requests."""
     by_id = {s.slice_id: s for s in scenario.slices}
-    records = []
-    for seed in seeds:
-        env = SliceEnv(scenario)
-        env.reset(int(seed))
-        plan: deque = deque()
-        while not env.episode_done():
-            if not plan:
-                requests = [by_id[sid] for sid in env.state.pending]
-                plan = deque(myopic_exhaustive_decision(
-                    requests, env.state, scenario.kappa, scenario.datacenters))
-            env.step(int(plan.popleft()))
-        records.append(EpisodeRecord(scenario=label, seed=int(seed),
-                                     slot_log=list(env.slot_log)))
-    return records
+    envs = [SliceEnv(scenario) for _ in seeds]
+    plans = [deque() for _ in seeds]
+
+    def decide(live, _):
+        for i in live:
+            if not plans[i]:
+                state = envs[i].state
+                plans[i].extend(myopic_exhaustive_decision(
+                    [by_id[sid] for sid in state.pending], state,
+                    scenario.kappa, scenario.datacenters))
+        return [plans[i].popleft() for i in live]
+
+    run_episodes(envs, seeds, decide)
+    return [EpisodeRecord(scenario=label, seed=int(seed),
+                          slot_log=list(env.slot_log))
+            for seed, env in zip(seeds, envs)]
 
 
 # -------------------------------------------------------------- the scenarios

@@ -7,7 +7,8 @@ a single linear unit. No autodiff: the backward pass is written out from the
 chain rule for this fixed family, and every gradient path is pinned by
 finite-difference tests.
 
-Gradient conventions. backward_gradients returns the gradient of
+Gradient conventions. backward_batch returns the gradient of sum_i f_i over
+a batch, with per-sample weights in
 
     f = w_logp * log pi(a|s) + w_value * V(s) + w_entropy * H(pi(.|s))
 
@@ -189,10 +190,6 @@ def sample_action(output: PolicyOutput, rng: np.random.Generator) -> Tuple[int, 
     return action, float(np.log(max(p[action], _TINY)))
 
 
-def greedy_action(output: PolicyOutput) -> int:
-    return int(np.argmax(output.action_probabilities))
-
-
 # ---------------------------------------------------------------- backward
 
 def _backward_stack(stack, hs, d_head: np.ndarray):
@@ -217,6 +214,8 @@ def backward_batch(params: MlpParameters, cache, actions: np.ndarray,
     """
     probs = cache["probs"]
     batch, n_actions = probs.shape
+    if not np.all((actions >= 0) & (actions < n_actions)):
+        raise DimensionMismatchError(f"actions outside 0..{n_actions - 1}")
     onehot = np.zeros_like(probs)
     onehot[np.arange(batch), actions] = 1.0
     logp = np.log(np.maximum(probs, _TINY))
@@ -227,19 +226,6 @@ def backward_batch(params: MlpParameters, cache, actions: np.ndarray,
     critic_grads = _backward_stack(params.critic, cache["critic_hs"],
                                    value_weights[:, None])
     return actor_grads, critic_grads
-
-
-def backward_gradients(params: MlpParameters, observation: np.ndarray, action: int,
-                       logp_weight: float = 1.0, value_weight: float = 0.0,
-                       entropy_weight: float = 0.0):
-    """Single-sample convenience wrapper over backward_batch."""
-    obs = np.asarray(observation, dtype=np.float64)[None, :]
-    _, _, cache = forward_batch(params, obs)
-    if not 0 <= int(action) < params.n_actions:
-        raise DimensionMismatchError(f"action {action} outside 0..{params.n_actions - 1}")
-    return backward_batch(params, cache, np.array([int(action)]),
-                          np.array([logp_weight]), np.array([value_weight]),
-                          np.array([entropy_weight]))
 
 
 # ---------------------------------------------------------------- optimizer

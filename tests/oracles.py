@@ -151,3 +151,72 @@ def greedy_episodes_reference(members, scenario, seeds, attack=None,
             member_by_slot if serve is not None else None,
         ))
     return episodes
+
+
+def random_episodes_reference(scenario, seeds):
+    """Uniform random decisions, one seed after another, each seed drawing
+    from its own (seed, 41) stream. Returns one slot log per seed."""
+    from slice_arena.baselines import random_policy_decision
+    from slice_arena.env import SliceEnv
+
+    logs = []
+    for seed in seeds:
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((int(seed), 41))))
+        env = SliceEnv(scenario)
+        env.reset(int(seed))
+        while not env.episode_done():
+            env.step(random_policy_decision(
+                env.state, env.current_request_slice(), rng))
+        logs.append(list(env.slot_log))
+    return logs
+
+
+def optimal_episodes_reference(scenario, seeds):
+    """Myopic exhaustive placement, one seed after another: each slot is
+    planned whole when its first request comes up. Returns one slot log
+    per seed."""
+    from collections import deque
+
+    from slice_arena.baselines import myopic_exhaustive_decision
+    from slice_arena.env import SliceEnv
+
+    by_id = {s.slice_id: s for s in scenario.slices}
+    logs = []
+    for seed in seeds:
+        env = SliceEnv(scenario)
+        env.reset(int(seed))
+        plan = deque()
+        while not env.episode_done():
+            if not plan:
+                plan = deque(myopic_exhaustive_decision(
+                    [by_id[sid] for sid in env.state.pending], env.state,
+                    scenario.kappa, scenario.datacenters))
+            env.step(int(plan.popleft()))
+        logs.append(list(env.slot_log))
+    return logs
+
+
+def greedy_mean_power_reference(scenario, capacity, slots, seed):
+    """Mean slot power of admit-on-the-first-feasible-DC placement with
+    every slice capped at `capacity` chains, over `slots` slots."""
+    from dataclasses import replace
+
+    from slice_arena.env import REJECT, SliceEnv
+
+    capped = replace(
+        scenario,
+        slices=[replace(s, chain_capacity=capacity) for s in scenario.slices],
+        horizon=slots)
+    env = SliceEnv(capped)
+    env.reset(seed)
+    while env.has_pending():
+        slice_id = env.current_request_slice().slice_id
+        decision = REJECT
+        for dc in range(len(capped.datacenters)):
+            if env.admission_feasible(slice_id, dc):
+                decision = dc + 1
+                break
+        if env.step(decision).episode_done:
+            break
+    return sum(rec.power for rec in env.slot_log) / max(1, slots)

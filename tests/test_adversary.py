@@ -110,57 +110,26 @@ class TestForgedReward:
         assert adv.forged_reward(ctx, forged) == pytest.approx(
             -150_000.0 - (3200 - 1000 * 2))
 
-
-class TestApplyAttack:
-    def test_zero_probability_identity(self, paper_like):
-        adv = ForgeryAdversary(paper_like)
-        config = AttackConfig(attack_probability=0.0)
-        obs = np.arange(8) / 10.0
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            got_obs, got_reward, attacked = adv.apply_attack((obs, -42.0), config, rng)
-            np.testing.assert_array_equal(got_obs, obs)
-            assert got_reward == -42.0
-            assert attacked is False
-
-    def test_certain_attack(self, paper_like):
-        adv = ForgeryAdversary(paper_like)
-        config = AttackConfig(attack_probability=1.0)
-        obs = np.zeros(8)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            got_obs, got_reward, attacked = adv.apply_attack((obs, -42.0), config, rng)
-            assert attacked is True
-            assert got_obs.shape == obs.shape
-            assert got_reward == 0.0  # default context: mid-slot reject
-
-    def test_binomial_fraction(self, paper_like):
-        adv = ForgeryAdversary(paper_like)
-        config = AttackConfig(attack_probability=0.25)
-        rng = np.random.default_rng(3)
-        obs = np.zeros(8)
-        hits = sum(adv.apply_attack((obs, 0.0), config, rng)[2]
-                   for _ in range(10_000))
-        assert abs(hits / 10_000 - 0.25) < 0.02
-
     def test_true_infeasible_can_look_feasible(self, paper_like):
-        # the true env said -M; the forged picture says the placement fit
+        # the true cluster is full, so the true step pays -M; the forged
+        # picture has room, so the agent is told the placement fit
+        env = SliceEnv(paper_like)
+        env.reset(seed=1)
+        assert env.pending_count() > 1  # a mid-slot step
+        spec = env.current_request_slice()
+        env.state.remaining = [dc.capacity - dc.capacity
+                               for dc in paper_like.datacenters]
+        assert env.step(1).reward == -150_000.0
         adv = ForgeryAdversary(paper_like)
-        config = AttackConfig(attack_probability=1.0)
-        ctx = StepContext(decision=1, demand_fraction=(0.1, 0.14, 0.006),
+        forged = adv.forge_observation(None, StubRng(u=0.9))
+        cap = paper_like.datacenters[0].capacity
+        ctx = StepContext(decision=1,
+                          demand_fraction=(spec.demand.cpu / cap.cpu,
+                                           spec.demand.memory / cap.memory,
+                                           spec.demand.storage / cap.storage),
                           slot_final=False, admitted_priorities=(),
-                          current_priority=2.0)
-        _, reward, attacked = adv.apply_attack(
-            (np.zeros(8), -150_000.0), config, StubRng(u=0.9), ctx)
-        assert attacked is True
-        assert reward != -150_000.0
-        assert reward == 0.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="attack_probability"):
-            AttackConfig(attack_probability=1.2)
-        with pytest.raises(ValueError, match="target_model_index"):
-            AttackConfig(target_model_index=-1)
+                          current_priority=spec.priority)
+        assert adv.forged_reward(ctx, forged) == 0.0
 
 
 def scripted_run(env, seed, script_seed=909):
@@ -175,6 +144,12 @@ def scripted_run(env, seed, script_seed=909):
 
 
 class TestPoisonedEnv:
+    def test_config_validation(self):
+        with pytest.raises(ValueError, match="attack_probability"):
+            AttackConfig(attack_probability=1.2)
+        with pytest.raises(ValueError, match="target_model_index"):
+            AttackConfig(target_model_index=-1)
+
     def test_true_evolution_untouched(self, paper_like):
         bare = SliceEnv(paper_like)
         scripted_run(bare, seed=5)

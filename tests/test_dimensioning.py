@@ -10,7 +10,7 @@ from slice_arena import (DimensioningResult, InfeasibleBudgetError,
                          overprovision_study_scenario)
 
 from conftest import PAPER_PROFILE
-from oracles import lindley_mm1_sojourn
+from oracles import greedy_mean_power_reference, lindley_mm1_sojourn
 
 
 class TestMeanSojournTime:
@@ -132,6 +132,13 @@ class TestOverprovisionRatio:
         r12 = overprovision_power_ratio(base, 12, study)
         assert abs(r10 - 0.21) <= 0.10
         assert abs(r12 - 0.27) <= 0.10
+
+    def test_matches_per_request_reference(self, study, base):
+        base_power = greedy_mean_power_reference(study, base.vnf_count, 3000, 7)
+        for inflated in (10, 12):
+            power = greedy_mean_power_reference(study, inflated, 3000, 7)
+            assert overprovision_power_ratio(base, inflated, study) == \
+                (power - base_power) / base_power
 
     def test_monotone_in_inflated_count(self, study, base):
         ratios = [overprovision_power_ratio(base, m, study, slots=1500)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from slice_arena import (REJECT, ClusterState, InvalidDecisionError,
                          NoPendingRequestError, ResourceVector, SliceEnv,
                          admission_feasible)
-from slice_arena.env import PENDING_CAP, _geometric_lifetime
+from slice_arena.env import PENDING_CAP, _geometric_lifetime, run_episodes
 
 from conftest import make_dc, make_scenario, make_slice
 
@@ -223,6 +223,44 @@ def random_run(paper_cfg):
     rng = np.random.default_rng(42)
     outcomes = run_episode(env, 7, lambda e: int(rng.integers(0, 3)))
     return env, outcomes
+
+
+class TestRunEpisodes:
+    def test_matches_per_seed_loop(self, paper_cfg):
+        seeds = (3, 4, 5)
+        envs = [SliceEnv(paper_cfg) for _ in seeds]
+        calls = []
+
+        def decide(live, observations):
+            calls.append(list(live))
+            for i in live:
+                np.testing.assert_array_equal(observations[i],
+                                              envs[i].observation())
+            return [first_fit(envs[i]) for i in live]
+
+        run_episodes(envs, seeds, decide)
+        for env, seed in zip(envs, seeds):
+            reference = SliceEnv(paper_cfg)
+            run_episode(reference, seed, first_fit)
+            assert env.slot_log == reference.slot_log
+        # one call per lockstep step, over the episodes still running
+        lengths = [sum(s.decisions for s in env.slot_log) for env in envs]
+        assert len(set(lengths)) == len(lengths)
+        assert calls == [[i for i, n in enumerate(lengths) if n > step]
+                         for step in range(max(lengths))]
+
+    def test_empty_episodes_never_decide(self):
+        sc = make_scenario(slices=(make_slice(arrival_mean=0.0),), horizon=5)
+        envs = [SliceEnv(sc), SliceEnv(sc)]
+
+        def decide(live, observations):
+            raise AssertionError("no request is ever pending")
+
+        run_episodes(envs, (1, 2), decide)
+        for env in envs:
+            assert env.episode_done()
+            assert [(r.slot, r.cost, r.reward) for r in env.slot_log] == \
+                [(t, 0.0, 0.0) for t in range(5)]
 
 
 class TestAccountingInvariants:

@@ -13,6 +13,7 @@ from slice_arena.harness import (ATTACKED_CHECKPOINT, MODEL_CHECKPOINT,
 from slice_arena.metrics import aggregate
 
 from conftest import make_dc, make_scenario, make_slice
+from oracles import optimal_episodes_reference, random_episodes_reference
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,23 @@ class TestPolicyFreeScenarios:
         assert [pending for _, pending in calls] == decided
         assert all(planned == pending for planned, pending in calls)
         assert max(decided) >= 10
+
+    @pytest.mark.parametrize("arrival_mean", [6.0, 0.0])
+    @pytest.mark.parametrize("name, reference", [
+        ("random", random_episodes_reference),
+        ("optimal", optimal_episodes_reference)])
+    def test_matches_per_seed_reference(self, small_cfg, arrival_mean, name,
+                                        reference, monkeypatch):
+        config = with_arrival_mean(small_cfg, arrival_mean)
+        seeds = (1, 2, 3, 4)
+        expected = reference(config, seeds)
+        if arrival_mean == 0.0:  # nothing to decide: no decision is asked for
+            def never(*args):
+                raise AssertionError("decision requested with nothing pending")
+            monkeypatch.setattr(harness, "random_policy_decision", never)
+            monkeypatch.setattr(harness, "myopic_exhaustive_decision", never)
+        result = run_scenario(name, config, seeds=seeds)
+        assert [r.slot_log for r in result.records] == expected
 
     def test_per_seed_metrics_align_with_records(self, small_cfg):
         result = run_scenario("random", small_cfg, seeds=SEEDS)

@@ -3,11 +3,9 @@ import pytest
 
 from slice_arena.policy import (AdamOptimizer, CheckpointFormatError,
                                 DimensionMismatchError, MlpParameters,
-                                PolicyOutput, backward_batch,
-                                backward_gradients, forward_batch,
-                                greedy_action, init_parameters,
-                                load_checkpoint, policy_forward,
-                                sample_action, save_checkpoint)
+                                PolicyOutput, backward_batch, forward_batch,
+                                init_parameters, load_checkpoint,
+                                policy_forward, sample_action, save_checkpoint)
 
 from oracles import numerical_gradient, softmax_reference
 
@@ -29,6 +27,15 @@ def unflatten_into(params, flat):
         n = a.size
         a[:] = flat[pos:pos + n].reshape(a.shape)
         pos += n
+
+
+def single_gradients(params, observation, action, logp_weight=1.0,
+                     value_weight=0.0, entropy_weight=0.0):
+    """backward_batch at batch 1: the gradient of one sample's f."""
+    _, _, cache = forward_batch(params, np.asarray(observation)[None, :])
+    return backward_batch(params, cache, np.array([action]),
+                          np.array([logp_weight]), np.array([value_weight]),
+                          np.array([entropy_weight]))
 
 
 def grads_to_flat(actor_grads, critic_grads):
@@ -112,9 +119,6 @@ class TestSampling:
         b = [sample_action(out, np.random.default_rng(9)) for _ in range(1)]
         assert a == b
 
-    def test_greedy(self):
-        assert greedy_action(PolicyOutput(np.array([0.2, 0.5, 0.3]), 0.0)) == 1
-
 
 class TestGradients:
     def _f_factory(self, template, obs, action, w_logp, w_value, w_ent):
@@ -136,7 +140,7 @@ class TestGradients:
             obs = rng.normal(size=3)
             action = int(rng.integers(0, 3))
             w_logp, w_value, w_ent = rng.uniform(-2, 2, size=3)
-            actor_g, critic_g = backward_gradients(
+            actor_g, critic_g = single_gradients(
                 params, obs, action, logp_weight=w_logp,
                 value_weight=w_value, entropy_weight=w_ent)
             analytic = grads_to_flat(actor_g, critic_g)
@@ -148,23 +152,24 @@ class TestGradients:
     def test_dead_input_feature_zero_gradient(self):
         params = init_parameters(3, 3, hidden=(2,), seed=4)
         obs = np.array([0.7, 0.0, -0.4])
-        actor_g, critic_g = backward_gradients(params, obs, 1, 1.0, 1.0, 1.0)
+        actor_g, critic_g = single_gradients(params, obs, 1, 1.0, 1.0, 1.0)
         assert np.all(actor_g[0][0][:, 1] == 0.0)
         assert np.all(critic_g[0][0][:, 1] == 0.0)
 
     def test_logp_weight_linearity(self):
         params = init_parameters(3, 3, hidden=(2,), seed=6)
         obs = np.array([0.1, -0.2, 0.5])
-        g1, _ = backward_gradients(params, obs, 2, logp_weight=1.0)
-        g2, _ = backward_gradients(params, obs, 2, logp_weight=2.0)
+        g1, _ = single_gradients(params, obs, 2, logp_weight=1.0)
+        g2, _ = single_gradients(params, obs, 2, logp_weight=2.0)
         for (w1, b1), (w2, b2) in zip(g1, g2):
             np.testing.assert_allclose(w2, 2.0 * w1, atol=1e-15)
             np.testing.assert_allclose(b2, 2.0 * b1, atol=1e-15)
 
     def test_bad_action_rejected(self):
         params = init_parameters(3, 3, hidden=(2,), seed=0)
-        with pytest.raises(DimensionMismatchError):
-            backward_gradients(params, np.zeros(3), 3)
+        for bad in (3, -1):
+            with pytest.raises(DimensionMismatchError):
+                single_gradients(params, np.zeros(3), bad)
 
     def test_batch_matches_sum_of_singles(self):
         rng = np.random.default_rng(12)
@@ -179,8 +184,8 @@ class TestGradients:
         actor_s = None
         critic_s = None
         for i in range(6):
-            ag, cg = backward_gradients(params, obs[i], int(actions[i]),
-                                        wl[i], wv[i], we[i])
+            ag, cg = single_gradients(params, obs[i], int(actions[i]),
+                                      wl[i], wv[i], we[i])
             if actor_s is None:
                 actor_s, critic_s = ag, cg
             else:
