@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Check that a git revision and the working tree write identical outputs.
+
+    python3 scripts/identity_check.py REV
+
+Unpacks ``git archive REV`` into a temporary directory, then runs three
+probes on that tree and on the working tree:
+
+* ``compare``: all five scenarios on the bundled paper.cfg (20 seeds, attack
+  and selection seed 0, as ``slice-arena compare`` runs them) with the
+  checkpoints in the working tree's perfbench/inputs, for both trees; the
+  SHA-256 of metrics.csv and summary.csv;
+* ``train``: ``train_single_models`` at seed 3 and 6,144 steps per model;
+  the SHA-256 of both checkpoints;
+* ``overprovision``: ``overprovision_power_ratio`` on
+  ``overprovision_study_scenario(paper.cfg)`` at M = 10 and 12; the value.
+
+Each probe runs in a fresh interpreter that imports slice_arena from that
+tree's src/ only. The probes run one after another and each is waited for,
+so no process outlives the script. Prints every result and exits 0 when all
+agree, 1 when any differs, 2 when a probe fails.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "perfbench" / "inputs"
+PROBES = ("compare", "train", "overprovision")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def probe(name: str, tree: Path, scratch: Path) -> dict:
+    """Run one probe in this interpreter on slice_arena from tree/src."""
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    import slice_arena as sa
+    if Path(sa.__file__).resolve().parent != src / "slice_arena":
+        raise RuntimeError(f"imported slice_arena from {sa.__file__}, not {src}")
+    config = sa.load_config(sa.paper_config_path())
+    if name == "compare":
+        results = sa.compare(config, artifacts=INPUTS,
+                             attack=sa.AttackConfig(seed=0), selection_seed=0)
+        paths = sa.write_results(results, scratch / "compare", config)
+        return {f"compare/{Path(p).name}": sha256(Path(p)) for p in paths}
+    if name == "train":
+        paths = sa.train_single_models(config, scratch / "train", seed=3,
+                                       total_env_steps=6_144)
+        return {f"train/{Path(p).name}": sha256(Path(p)) for p in paths}
+    study = sa.overprovision_study_scenario(config)
+    base = sa.estimate_vnf_count(study.slices[0].profile)
+    return {f"overprovision/M={m}": repr(sa.overprovision_power_ratio(base, m, study))
+            for m in (10, 12)}
+
+
+def run_probe(name: str, tree: Path) -> dict:
+    """Run one probe in a child interpreter and wait for it."""
+    with tempfile.TemporaryDirectory(prefix="identity-probe-") as scratch:
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--probe", name,
+             str(tree), scratch],
+            capture_output=True, text=True, cwd=scratch)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise RuntimeError(f"probe {name} failed on {tree}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def unpack(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, **safe)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", nargs="?", help="git revision to compare against")
+    parser.add_argument("--probe", nargs=3, metavar=("NAME", "TREE", "SCRATCH"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.probe:
+        name, tree, scratch = args.probe
+        print(json.dumps(probe(name, Path(tree), Path(scratch))))
+        return 0
+    if not args.rev:
+        parser.error("give a git revision")
+
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="identity-rev-") as rev_tree:
+        try:
+            unpack(args.rev, Path(rev_tree))
+        except subprocess.CalledProcessError as err:
+            sys.stderr.write(err.stderr.decode(errors="replace"))
+            return 2
+        for name in PROBES:
+            try:
+                theirs = run_probe(name, Path(rev_tree))
+                ours = run_probe(name, ROOT)
+            except RuntimeError as err:
+                print(f"error: {err}", file=sys.stderr)
+                return 2
+            for key in sorted(set(theirs) | set(ours)):
+                a, b = theirs.get(key), ours.get(key)
+                if a == b:
+                    print(f"same       {key}  {a}")
+                else:
+                    differ = True
+                    print(f"DIFFERENT  {key}  {args.rev}: {a}  working tree: {b}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

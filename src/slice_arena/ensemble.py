@@ -15,9 +15,10 @@ stream. The ensemble round-trips through a plain-text manifest next to one
 checkpoint file per member.
 
 Greedy evaluation runs the episodes of all seeds through env.run_episodes,
-with one batched forward per serving member per lockstep step; a single
-policy is a one-member ensemble. Every environment keeps its own seeded
-streams, so the records are those of running the seeds one after another.
+with one batched actor-only forward (policy.forward_actor) per serving
+member per lockstep step; a single policy is a one-member ensemble. Every
+environment keeps its own seeded streams, so the records are those of
+running the seeds one after another.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .config import ScenarioConfig
 from .env import SliceEnv, run_episodes
 from .metrics import EpisodeRecord, RunMetrics, aggregate
 # policy_forward stays importable here: the per-layer tracer wraps it
-from .policy import (MlpParameters, forward_batch, load_checkpoint,
+from .policy import (MlpParameters, forward_actor, load_checkpoint,
                      policy_forward, save_checkpoint)
 from .ppo import PpoConfig, train
 
@@ -157,8 +158,8 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
             groups.setdefault(member, []).append(i)
         actions = {}
         for member, group in groups.items():
-            probs, _, _ = forward_batch(members[member],
-                                        np.stack([obs[i] for i in group]))
+            probs = forward_actor(members[member],
+                                  np.stack([obs[i] for i in group]))
             actions.update(zip(group, probs.argmax(axis=1)))
         return [actions[i] for i in live]
 

@@ -37,13 +37,16 @@ arrival counts, never on policy decisions: an arrival stream (one Poisson
 draw per slice per slot) and a request stream (one power uniform and one
 lifetime uniform per arriving request, drawn at arrival time). Two runs with
 the same scenario and seed therefore see identical traffic regardless of the
-admission decisions taken.
+admission decisions taken. The request draws are batched per slot: one call
+for the slot's 2n uniforms, read in request order as (power, lifetime)
+pairs, which yields the values of drawing them one at a time.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -231,6 +234,9 @@ class SliceEnv:
         self.slot_log = []
         self._done = False
         self._request_attrs = deque()  # (power_uniform, lifetime) aligned with pending
+        # per-slice chains in the ledger and requests in the pending deque
+        self._active_counts = dict.fromkeys(self._slice_by_id, 0)
+        self._pending_counts = dict.fromkeys(self._slice_by_id, 0)
         self._always_on_power = None
         if sc.power_mode == "always_on":
             self._always_on_power = self._draw_always_on_power()
@@ -257,14 +263,20 @@ class SliceEnv:
         self._current_decisions = 0
         self._admitted_this_slot = []
         self._penalties_this_slot = 0.0
-        for spec in self.scenario.slices:
-            count = int(self._arrival_rng.poisson(spec.arrival_mean))
+        # numpy's array-argument poisson checks its parameter with array
+        # reductions; a scalar call per slice is several times cheaper
+        counts = [int(self._arrival_rng.poisson(s.arrival_mean))
+                  for s in self.scenario.slices]
+        uniforms = iter(self._request_rng.random(2 * sum(counts)).tolist())
+        pairs = zip(uniforms, uniforms)  # (power, lifetime) in request order
+        for spec, count in zip(self.scenario.slices, counts):
             self._current_stats[spec.slice_id].arrived = count
-            for _ in range(count):
-                u_power = float(self._request_rng.uniform())
-                u_life = float(self._request_rng.uniform())
-                self.state.pending.append(spec.slice_id)
-                self._request_attrs.append((u_power, _geometric_lifetime(u_life, spec.departure_prob)))
+            self._pending_counts[spec.slice_id] += count
+            self.state.pending.extend([spec.slice_id] * count)
+            p = spec.departure_prob
+            self._request_attrs.extend(
+                (u_power, _geometric_lifetime(u_life, p))
+                for u_power, u_life in islice(pairs, count))
 
     # ------------------------------------------------------------- inspection
 
@@ -280,21 +292,22 @@ class SliceEnv:
         return self._slice_by_id[self.state.pending[0]]
 
     def admission_feasible(self, slice_id: str, dc_index: int) -> bool:
-        return admission_feasible(self.state, self._slice_by_id[slice_id], dc_index)
+        """admission_feasible on this env's state, reading the slice's
+        active chains from the counter instead of scanning the ledger."""
+        spec = self._slice_by_id[slice_id]
+        return (self._active_counts[slice_id] < spec.chain_capacity
+                and self.state.remaining[dc_index].covers(spec.demand))
 
     def observation(self) -> np.ndarray:
         assert self.state is not None
-        sc = self.scenario
         values = []
-        for dc, rem in zip(sc.datacenters, self.state.remaining):
+        for dc, rem in zip(self.scenario.datacenters, self.state.remaining):
             cap = dc.capacity
             values.extend((rem.cpu / cap.cpu, rem.memory / cap.memory,
                            rem.storage / cap.storage))
-        counts = {s.slice_id: 0 for s in sc.slices}
-        for sid in self.state.pending:
-            counts[sid] += 1
-        for s in sc.slices:
-            values.append(min(counts[s.slice_id], PENDING_CAP) / PENDING_CAP)
+        # _pending_counts iterates in scenario order
+        values += [min(count, PENDING_CAP) / PENDING_CAP
+                   for count in self._pending_counts.values()]
         return np.asarray(values, dtype=np.float64)
 
     @property
@@ -324,6 +337,7 @@ class SliceEnv:
 
         state = self.state
         slice_id = state.pending.popleft()
+        self._pending_counts[slice_id] -= 1
         spec = self._slice_by_id[slice_id]
         u_power, lifetime = self._request_attrs.popleft()
         stats = self._current_stats[slice_id]
@@ -336,7 +350,7 @@ class SliceEnv:
             stats.rejected += 1
         else:
             dc_index = decision - 1
-            if admission_feasible(state, spec, dc_index):
+            if self.admission_feasible(slice_id, dc_index):
                 lo, hi = self.scenario.datacenters[dc_index].power_range
                 chain = Chain(
                     slice_id=slice_id,
@@ -346,6 +360,7 @@ class SliceEnv:
                     admitted_slot=state.slot_index,
                 )
                 state.chains.append(chain)
+                self._active_counts[slice_id] += 1
                 state.remaining[dc_index] = state.remaining[dc_index] - spec.demand
                 self._admitted_this_slot.append(slice_id)
                 stats.admitted += 1
@@ -414,6 +429,7 @@ class SliceEnv:
             if chain.depart_after <= state.slot_index:
                 state.remaining[chain.dc_index] = (
                     state.remaining[chain.dc_index] + self._slice_by_id[chain.slice_id].demand)
+                self._active_counts[chain.slice_id] -= 1
             else:
                 keep.append(chain)
         state.chains = keep
@@ -431,6 +447,16 @@ class SliceEnv:
                 if abs(g - w) > 1e-9:
                     raise AssertionError(
                         f"resource conservation violated on DC {dc.dc_id}: {got} != {want}")
+        for slice_id, count in self._active_counts.items():
+            if count != state.active_count(slice_id):
+                raise AssertionError(
+                    f"active counter of slice {slice_id} reads {count}, "
+                    f"ledger holds {state.active_count(slice_id)}")
+        for slice_id, count in self._pending_counts.items():
+            if count != state.pending.count(slice_id):
+                raise AssertionError(
+                    f"pending counter of slice {slice_id} reads {count}, "
+                    f"deque holds {state.pending.count(slice_id)}")
 
 
 def run_episodes(envs: Sequence, seeds: Sequence[int],

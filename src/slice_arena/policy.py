@@ -5,7 +5,8 @@ flattened observation (default two tanh hidden layers of 64 units). The
 actor ends in a categorical head over {REJECT, DC 1..N}; the critic ends in
 a single linear unit. No autodiff: the backward pass is written out from the
 chain rule for this fixed family, and every gradient path is pinned by
-finite-difference tests.
+finite-difference tests. forward_actor runs the actor alone and returns the
+same probabilities as forward_batch, bit for bit, for callers that only act.
 
 Gradient conventions. backward_batch returns the gradient of sum_i f_i over
 a batch, with per-sample weights in
@@ -156,12 +157,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward_batch(params: MlpParameters, observations: np.ndarray):
-    """Vectorized forward pass.
-
-    observations: (batch, obs). Returns (probs (batch, A), values (batch,),
-    cache) where cache carries the hidden activations for backward_batch.
-    """
+def _checked_input(params: MlpParameters, observations: np.ndarray) -> np.ndarray:
     x = np.asarray(observations, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.observation_size:
         raise DimensionMismatchError(
@@ -169,11 +165,28 @@ def forward_batch(params: MlpParameters, observations: np.ndarray):
             f"{params.observation_size}")
     if not np.isfinite(x).all():
         raise DimensionMismatchError("observations contain non-finite entries")
+    return x
+
+
+def forward_batch(params: MlpParameters, observations: np.ndarray):
+    """Vectorized forward pass.
+
+    observations: (batch, obs). Returns (probs (batch, A), values (batch,),
+    cache) where cache carries the hidden activations for backward_batch.
+    """
+    x = _checked_input(params, observations)
     actor_hs, logits = _forward_stack(params.actor, x)
     critic_hs, values = _forward_stack(params.critic, x)
     probs = _softmax(logits)
     return probs, values[:, 0], {"actor_hs": actor_hs, "critic_hs": critic_hs,
                                  "probs": probs}
+
+
+def forward_actor(params: MlpParameters, observations: np.ndarray) -> np.ndarray:
+    """The action probabilities of forward_batch, bit for bit, without the
+    critic or the backward cache; for callers that only act."""
+    _, logits = _forward_stack(params.actor, _checked_input(params, observations))
+    return _softmax(logits)
 
 
 def policy_forward(params: MlpParameters, observation: np.ndarray) -> PolicyOutput:

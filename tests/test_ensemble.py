@@ -350,16 +350,16 @@ class TestLockstep:
             if member_by_slot is not None:
                 assert list(record.member_by_slot) == list(member_by_slot)
 
-    def count_forward_batch(self, monkeypatch):
+    def count_forward_actor(self, monkeypatch):
         import slice_arena.ensemble as ensemble
         rows = []
-        original = ensemble.forward_batch
+        original = ensemble.forward_actor
 
         def counting(params, observations):
             rows.append(len(observations))
             return original(params, observations)
 
-        monkeypatch.setattr(ensemble, "forward_batch", counting)
+        monkeypatch.setattr(ensemble, "forward_actor", counting)
         return rows
 
     def test_clean_policy_matches_reference(self, tiny_scenario):
@@ -393,7 +393,7 @@ class TestLockstep:
 
     def test_one_batched_forward_per_step(self, tiny_scenario, monkeypatch):
         params = self.varied_members(tiny_scenario, 1)[0]
-        rows = self.count_forward_batch(monkeypatch)
+        rows = self.count_forward_actor(monkeypatch)
         _, records = evaluate_policy(params, tiny_scenario, self.SEEDS)
         decisions = [sum(s.decisions for s in r.slot_log) for r in records]
         # one call per lockstep step, over the environments still live
@@ -407,7 +407,7 @@ class TestLockstep:
         spec = EnsembleSpec(member_configs=default_member_configs(),
                             parameters=members, selection_seed=4)
         attack = AttackConfig(attack_probability=0.3, seed=2)
-        rows = self.count_forward_batch(monkeypatch)
+        rows = self.count_forward_actor(monkeypatch)
         _, records = evaluate_under_attack(spec, tiny_scenario, attack,
                                            seeds=self.SEEDS)
         # the member deciding each step of each episode, in step order

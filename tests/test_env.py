@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slice_arena import (REJECT, ClusterState, InvalidDecisionError,
@@ -12,6 +12,7 @@ from slice_arena import (REJECT, ClusterState, InvalidDecisionError,
 from slice_arena.env import PENDING_CAP, _geometric_lifetime, run_episodes
 
 from conftest import make_dc, make_scenario, make_slice
+from oracles import per_request_draw_arrivals
 
 
 def run_episode(env, seed, policy):
@@ -384,3 +385,96 @@ class TestAlwaysOnPower:
         assert powers_a == powers_b
         value = powers_a.pop()
         assert 8 * 100.0 <= value <= 8 * 200.0
+
+
+class PerRequestDrawEnv(SliceEnv):
+    _draw_arrivals = per_request_draw_arrivals
+
+
+def run_against_per_request_draws(scenario, seed, script_seed=5):
+    """Step the batched env (with its debug checks on) and the per-request
+    reference side by side on the same scripted decisions; returns the
+    number of steps taken."""
+    env, ref = SliceEnv(scenario, debug=True), PerRequestDrawEnv(scenario)
+    np.testing.assert_array_equal(env.reset(seed), ref.reset(seed))
+    script = np.random.default_rng(script_seed)
+    steps = 0
+    while not env.episode_done():
+        assert list(env.state.pending) == list(ref.state.pending)
+        assert list(env._request_attrs) == list(ref._request_attrs)
+        decision = (first_fit(env) if script.random() < 0.7
+                    else int(script.integers(0, env.n_actions)))
+        got, want = env.step(decision), ref.step(decision)
+        assert (got.reward, got.admitted, got.infeasible_attempt,
+                got.episode_done) == (want.reward, want.admitted,
+                                      want.infeasible_attempt,
+                                      want.episode_done)
+        np.testing.assert_array_equal(got.observation, want.observation)
+        steps += 1
+    assert ref.episode_done()
+    assert env.slot_log == ref.slot_log
+    return steps
+
+
+@st.composite
+def small_scenarios(draw):
+    slices = tuple(
+        make_slice(f"s{i}", priority=draw(st.sampled_from((1.0, 3.0))),
+                   arrival_mean=draw(st.sampled_from((0.0, 0.4, 2.0, 7.5))),
+                   departure_prob=draw(st.sampled_from((0.0, 0.3, 1.0))),
+                   chain_capacity=draw(st.integers(1, 4)))
+        for i in range(draw(st.integers(1, 3))))
+    dcs = tuple(make_dc(f"dc{j}", cpu=draw(st.sampled_from((4.0, 32.0))))
+                for j in range(draw(st.integers(1, 2))))
+    return make_scenario(datacenters=dcs, slices=slices,
+                         power_mode=draw(st.sampled_from(("utilization",
+                                                          "always_on"))),
+                         horizon=draw(st.integers(1, 15)))
+
+
+class TestBatchedDraws:
+    """The per-slot batched draws against drawing one value at a time."""
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_paper_config_matches_per_request_draws(self, paper_cfg, seed):
+        assert run_against_per_request_draws(paper_cfg, seed) > 1000
+
+    @given(small_scenarios(), st.integers(0, 2 ** 31 - 1))
+    @example(make_scenario(
+        slices=(make_slice("idle", arrival_mean=0.0),
+                make_slice("stays", arrival_mean=2.0, departure_prob=0.0,
+                           chain_capacity=3),
+                make_slice("blinks", arrival_mean=3.0, departure_prob=1.0)),
+        power_mode="always_on", horizon=12), 17)
+    @settings(max_examples=60, deadline=None)
+    def test_small_scenarios_match_per_request_draws(self, scenario, seed):
+        run_against_per_request_draws(scenario, seed)
+
+
+class TestCounters:
+    """The O(1) per-slice counters against the ledger and the deque."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_episodes_keep_counters(self, seed):
+        sc = make_scenario(slices=(
+            make_slice("s1", arrival_mean=3.0, chain_capacity=2),
+            make_slice("s2", arrival_mean=1.0, departure_prob=0.0,
+                       chain_capacity=3),
+            make_slice("s3", arrival_mean=2.0, departure_prob=1.0)),
+            horizon=60)
+        env = SliceEnv(sc, debug=True)  # checks every counter on every step
+        rng = np.random.default_rng(seed)
+        outcomes = run_episode(env, seed, lambda e: int(rng.integers(0, 3)))
+        assert env.episode_done()
+        assert any(o.admitted for o in outcomes)
+        assert any(o.infeasible_attempt for o in outcomes)
+
+    @pytest.mark.parametrize("counter,message", (
+        ("_active_counts", "active counter"),
+        ("_pending_counts", "pending counter")))
+    def test_corrupted_counter_raises(self, paper_cfg, counter, message):
+        env = SliceEnv(paper_cfg, debug=True)
+        env.reset(hunt_seed(env, 12))
+        getattr(env, counter)[paper_cfg.slices[-1].slice_id] += 1
+        with pytest.raises(AssertionError, match=message):
+            env.step(REJECT)

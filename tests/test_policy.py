@@ -3,8 +3,8 @@ import pytest
 
 from slice_arena.policy import (AdamOptimizer, CheckpointFormatError,
                                 DimensionMismatchError, MlpParameters,
-                                PolicyOutput, backward_batch, forward_batch,
-                                init_parameters, load_checkpoint,
+                                PolicyOutput, backward_batch, forward_actor,
+                                forward_batch, init_parameters, load_checkpoint,
                                 policy_forward, sample_action, save_checkpoint)
 
 from oracles import numerical_gradient, softmax_reference
@@ -95,6 +95,36 @@ class TestForward:
             policy_forward(params, np.zeros(5))
         with pytest.raises(DimensionMismatchError):
             policy_forward(params, np.array([np.nan, 0, 0, 0]))
+
+
+class TestForwardActor:
+    """The actor-only forward against forward_batch's probabilities."""
+
+    @pytest.fixture(params=("init", "loaded"))
+    def params(self, request, tmp_path):
+        params = init_parameters(8, 3, seed=4)
+        head = params.actor[-1][0]
+        if request.param == "loaded":
+            save_checkpoint(params, str(tmp_path / "m.ckpt"))
+            params = load_checkpoint(str(tmp_path / "m.ckpt"))
+            head = params.actor[-1][0]
+            assert head.flags.c_contiguous and not head.flags.f_contiguous
+        else:
+            assert head.flags.f_contiguous and not head.flags.c_contiguous
+        return params
+
+    @pytest.mark.parametrize("batch", (1, 3, 8, 64))
+    def test_bit_identical_to_forward_batch(self, params, batch):
+        obs = np.random.default_rng(batch).uniform(size=(batch, 8))
+        probs, _, _ = forward_batch(params, obs)
+        assert np.array_equal(forward_actor(params, obs), probs)
+
+    @pytest.mark.parametrize("bad", (np.zeros((2, 7)), np.zeros(8),
+                                     np.full((2, 8), np.nan),
+                                     np.array([[0.0] * 7 + [np.inf]])))
+    def test_bad_input_rejected(self, bad):
+        with pytest.raises(DimensionMismatchError):
+            forward_actor(init_parameters(8, 3, seed=0), bad)
 
 
 class TestSampling:
