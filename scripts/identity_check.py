@@ -3,7 +3,7 @@
 
     python3 scripts/identity_check.py REV
 
-Unpacks ``git archive REV`` into a temporary directory, then runs three
+Unpacks ``git archive REV`` into a temporary directory, then runs four
 probes on that tree and on the working tree:
 
 * ``compare``: all five scenarios on the bundled paper.cfg (20 seeds, attack
@@ -13,7 +13,11 @@ probes on that tree and on the working tree:
 * ``train``: ``train_single_models`` at seed 3 and 6,144 steps per model;
   the SHA-256 of both checkpoints;
 * ``overprovision``: ``overprovision_power_ratio`` on
-  ``overprovision_study_scenario(paper.cfg)`` at M = 10 and 12; the value.
+  ``overprovision_study_scenario(paper.cfg)`` at M = 10 and 12; the value;
+* ``checkpoint-io``: every checkpoint in the working tree's perfbench/inputs
+  (the two single models with ``load_checkpoint``/``save_checkpoint``, the
+  ensemble with ``load_ensemble``/``save_ensemble``) loaded and saved again;
+  the SHA-256 of every written file.
 
 Each probe runs in a fresh interpreter that imports slice_arena from that
 tree's src/ only. The probes run one after another and each is waited for,
@@ -34,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "perfbench" / "inputs"
-PROBES = ("compare", "train", "overprovision")
+PROBES = ("compare", "train", "overprovision", "checkpoint-io")
 
 
 def sha256(path: Path) -> str:
@@ -58,6 +62,17 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
         paths = sa.train_single_models(config, scratch / "train", seed=3,
                                        total_env_steps=6_144)
         return {f"train/{Path(p).name}": sha256(Path(p)) for p in paths}
+    if name == "checkpoint-io":
+        out = scratch / "checkpoint-io"
+        out.mkdir()
+        written = [out / "ensemble" / "manifest.txt"]
+        for model in ("model.ckpt", "attacked_model.ckpt"):
+            sa.save_checkpoint(sa.load_checkpoint(str(INPUTS / model)), str(out / model))
+            written.append(out / model)
+        spec = sa.load_ensemble(INPUTS / "ensemble")
+        sa.save_ensemble(spec, out / "ensemble")
+        written += [out / "ensemble" / f"member_{i}.ckpt" for i in range(len(spec))]
+        return {f"checkpoint-io/{p.relative_to(out)}": sha256(p) for p in written}
     study = sa.overprovision_study_scenario(config)
     base = sa.estimate_vnf_count(study.slices[0].profile)
     return {f"overprovision/M={m}": repr(sa.overprovision_power_ratio(base, m, study))

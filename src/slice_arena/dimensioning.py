@@ -9,6 +9,7 @@ twice the per-stage value, still fits the slice's delay budget.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,7 @@ def overprovision_power_ratio(
     return (inflated_power - base_power) / base_power
 
 
+@functools.cache  # pure in a frozen scenario and ints: ratio calls share the baseline
 def _greedy_mean_power(scenario, capacity: int, slots: int, seed: int) -> float:
     from dataclasses import replace
 

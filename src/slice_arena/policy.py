@@ -8,14 +8,22 @@ chain rule for this fixed family, and every gradient path is pinned by
 finite-difference tests. forward_actor runs the actor alone and returns the
 same probabilities as forward_batch, bit for bit, for callers that only act.
 
+Layout. Every parameter lives in one float64 vector, MlpParameters.flat,
+in checkpoint order; each (W, b) is a view into it. A W with fewer rows
+than columns (by default the heads) is stored transposed, Fortran ordered
+as _orthogonal returns it: batch-1 BLAS products can change in the last bit
+with memory order, and a C-ordered actor head trains other checkpoints.
+
 Gradient conventions. backward_batch returns the gradient of sum_i f_i over
 a batch, with per-sample weights in
 
     f = w_logp * log pi(a|s) + w_value * V(s) + w_entropy * H(pi(.|s))
 
-with respect to every parameter, which is the general building block: any
-PPO loss gradient is a per-sample weighted sum of exactly these three terms.
-Useful identities (z = actor logits, p = softmax(z)):
+with respect to every parameter, as one vector in the layout of flat
+(MlpParameters(layer_dims, grad) views it per array), which is the general
+building block: any PPO loss gradient is a per-sample weighted sum of
+exactly these three terms. Useful identities (z = actor logits, p =
+softmax(z)):
 
     d log p_a / d z_j = 1[j = a] - p_j
     d H / d z_j       = -p_j (log p_j + H)
@@ -27,9 +35,11 @@ parameter per line, printed with 17 significant digits, in layer order
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,19 +63,46 @@ class PolicyOutput:
     state_value: float
 
 
+@functools.cache
+def _layout(layer_dims: Tuple[int, ...]):
+    """(offset, shape, transposed) of every array in checkpoint order, and
+    the parameter count; a transposed block is stored column-major."""
+    layout, offset = [], 0
+    for dims in (layer_dims, layer_dims[:-1] + (1,)):
+        for rows, cols in zip(dims[1:], dims[:-1]):
+            for shape, transposed in (((rows, cols), rows < cols), ((rows,), False)):
+                layout.append((offset, shape, transposed))
+                offset += math.prod(shape)
+    return tuple(layout), offset
+
+
 @dataclass
 class MlpParameters:
     """Weights of the actor and critic stacks.
 
     layer_dims describes the actor chain (input, hidden..., n_actions); the
     critic shares the hidden sizes and ends in one unit. Each stack is a
-    list of (W, b) with W of shape (out, in).
+    list of (W, b) views into flat, with W of shape (out, in); write through
+    them (w[...] = ...), as a rebound entry is detached from flat.
     """
 
     layer_dims: Tuple[int, ...]
-    actor: List[Tuple[np.ndarray, np.ndarray]]
-    critic: List[Tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray
     activation: str = "tanh"
+    actor: List[Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    critic: List[Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        layout, size = _layout(self.layer_dims)
+        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ValueError(f"parameter vector {self.flat.dtype}{self.flat.shape} "
+                             f"does not fit layer_dims {self.layer_dims!r}")
+        views = []
+        for offset, shape, transposed in layout:
+            block = self.flat[offset:offset + math.prod(shape)]
+            views.append(block.reshape(shape[::-1]).T if transposed else block.reshape(shape))
+        pairs = list(zip(views[0::2], views[1::2]))
+        self.actor, self.critic = pairs[:len(pairs) // 2], pairs[len(pairs) // 2:]
 
     @property
     def observation_size(self) -> int:
@@ -77,34 +114,21 @@ class MlpParameters:
 
     def arrays(self) -> Iterator[np.ndarray]:
         """All parameter arrays in checkpoint order."""
-        for stack in (self.actor, self.critic):
-            for w, b in stack:
-                yield w
-                yield b
+        return itertools.chain.from_iterable(self.actor + self.critic)
 
     def copy(self) -> "MlpParameters":
-        return MlpParameters(
-            layer_dims=self.layer_dims,
-            actor=[(w.copy(), b.copy()) for w, b in self.actor],
-            critic=[(w.copy(), b.copy()) for w, b in self.critic],
-            activation=self.activation,
-        )
+        return MlpParameters(self.layer_dims, self.flat.copy(), self.activation)
 
     def validate(self) -> None:
         if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
             raise ValueError(f"bad layer_dims {self.layer_dims!r}")
         if self.activation != "tanh":
             raise ValueError(f"unsupported activation {self.activation!r}")
-        critic_dims = self.layer_dims[:-1] + (1,)
-        for stack, dims in ((self.actor, self.layer_dims), (self.critic, critic_dims)):
-            if len(stack) != len(dims) - 1:
-                raise ValueError("stack depth inconsistent with layer_dims")
-            for i, (w, b) in enumerate(stack):
-                if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
-                    raise ValueError(
-                        f"layer {i} shapes {w.shape}/{b.shape} differ from dims {dims}")
-                if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                    raise ValueError(f"non-finite parameters in layer {i}")
+        shapes = [a.shape for a in self.arrays()]
+        if shapes != [shape for _, shape, _ in _layout(self.layer_dims)[0]]:
+            raise ValueError(f"array shapes {shapes} differ from dims {self.layer_dims}")
+        if not np.isfinite(self.flat).all():
+            raise ValueError("non-finite parameters")
 
 
 def _orthogonal(rows: int, cols: int, gain: float, rng: np.random.Generator) -> np.ndarray:
@@ -122,20 +146,10 @@ def init_parameters(observation_size: int, n_actions: int,
     policy is near uniform."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 77))))
     dims = (int(observation_size), *(int(h) for h in hidden), int(n_actions))
-
-    def build(out_dims: Tuple[int, ...], head_gain: float):
-        stack = []
-        for i in range(len(out_dims) - 1):
-            gain = head_gain if i == len(out_dims) - 2 else 1.0
-            w = _orthogonal(out_dims[i + 1], out_dims[i], gain, rng)
-            stack.append((w, np.zeros(out_dims[i + 1])))
-        return stack
-
-    params = MlpParameters(
-        layer_dims=dims,
-        actor=build(dims, head_gain=0.01),
-        critic=build(dims[:-1] + (1,), head_gain=1.0),
-    )
+    params = MlpParameters(dims, np.zeros(_layout(dims)[1]))
+    for stack, head_gain in ((params.actor, 0.01), (params.critic, 1.0)):
+        for i, (w, _) in enumerate(stack):
+            w[...] = _orthogonal(*w.shape, head_gain if i == len(stack) - 1 else 1.0, rng)
     params.validate()
     return params
 
@@ -172,14 +186,17 @@ def forward_batch(params: MlpParameters, observations: np.ndarray):
     """Vectorized forward pass.
 
     observations: (batch, obs). Returns (probs (batch, A), values (batch,),
-    cache) where cache carries the hidden activations for backward_batch.
+    cache) where cache carries the hidden activations for backward_batch,
+    logp = log(max(probs, 1e-300)) and the per-row entropy.
     """
     x = _checked_input(params, observations)
     actor_hs, logits = _forward_stack(params.actor, x)
     critic_hs, values = _forward_stack(params.critic, x)
     probs = _softmax(logits)
+    logp = np.log(np.maximum(probs, _TINY))
+    entropy = -(probs * logp).sum(axis=1)
     return probs, values[:, 0], {"actor_hs": actor_hs, "critic_hs": critic_hs,
-                                 "probs": probs}
+                                 "probs": probs, "logp": logp, "entropy": entropy}
 
 
 def forward_actor(params: MlpParameters, observations: np.ndarray) -> np.ndarray:
@@ -190,32 +207,40 @@ def forward_actor(params: MlpParameters, observations: np.ndarray) -> np.ndarray
 
 
 def policy_forward(params: MlpParameters, observation: np.ndarray) -> PolicyOutput:
-    probs, values, _ = forward_batch(params, np.asarray(observation)[None, :])
-    return PolicyOutput(action_probabilities=probs[0], state_value=float(values[0]))
+    """forward_batch at batch 1, bit for bit, without the backward cache."""
+    x = _checked_input(params, np.asarray(observation)[None, :])
+    _, logits = _forward_stack(params.actor, x)
+    _, value = _forward_stack(params.critic, x)
+    z = logits[0]
+    e = np.exp(z - z.max())
+    return PolicyOutput(action_probabilities=e / e.sum(), state_value=float(value[0, 0]))
 
 
 def sample_action(output: PolicyOutput, rng: np.random.Generator) -> Tuple[int, float]:
-    """Draw from the categorical head; returns (action, log probability)."""
+    """Draw from the categorical head; returns (action, log probability):
+    the first action whose running probability sum exceeds u, else the last."""
     p = output.action_probabilities
     u = rng.random()
-    action = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    action = min(action, p.size - 1)  # guard u landing on the float tail
+    action = next((i for i, total in enumerate(itertools.accumulate(p.tolist()))
+                   if total > u), p.size - 1)
     return action, float(np.log(max(p[action], _TINY)))
 
 
 # ---------------------------------------------------------------- backward
 
-def _backward_stack(stack, hs, d_head: np.ndarray):
-    """Backpropagate d_head (batch, out) through a stack; returns grads."""
-    grads = []
+def _backward_stack(stack, hs, d_head: np.ndarray, grads) -> None:
+    """Backpropagate d_head (batch, out) through a stack into the (gW, gb)
+    views of grads."""
     delta = d_head
     for i in range(len(stack) - 1, -1, -1):
-        w, _ = stack[i]
-        h_in = hs[i]
-        grads.append((delta.T @ h_in, delta.sum(axis=0)))
+        g_w, g_b = grads[i]
+        if g_w.flags.c_contiguous:
+            np.matmul(delta.T, hs[i], out=g_w)
+        else:  # a transposed block: the same product, copied in
+            g_w[...] = delta.T @ hs[i]
+        delta.sum(axis=0, out=g_b)
         if i > 0:
-            delta = (delta @ w) * (1.0 - hs[i] * hs[i])
-    return list(reversed(grads))
+            delta = (delta @ stack[i][0]) * (1.0 - hs[i] * hs[i])
 
 
 def backward_batch(params: MlpParameters, cache, actions: np.ndarray,
@@ -223,7 +248,7 @@ def backward_batch(params: MlpParameters, cache, actions: np.ndarray,
                    entropy_weights: np.ndarray):
     """Gradients of sum_i f_i over the batch, f as in the module docstring.
 
-    Returns (actor_grads, critic_grads) mirroring the parameter stacks.
+    Returns one gradient vector in the layout of params.flat.
     """
     probs = cache["probs"]
     batch, n_actions = probs.shape
@@ -231,52 +256,53 @@ def backward_batch(params: MlpParameters, cache, actions: np.ndarray,
         raise DimensionMismatchError(f"actions outside 0..{n_actions - 1}")
     onehot = np.zeros_like(probs)
     onehot[np.arange(batch), actions] = 1.0
-    logp = np.log(np.maximum(probs, _TINY))
-    entropy = -(probs * logp).sum(axis=1)
-    d_logits = (logp_weights[:, None] * (onehot - probs)
-                - entropy_weights[:, None] * probs * (logp + entropy[:, None]))
-    actor_grads = _backward_stack(params.actor, cache["actor_hs"], d_logits)
-    critic_grads = _backward_stack(params.critic, cache["critic_hs"],
-                                   value_weights[:, None])
-    return actor_grads, critic_grads
+    d_logits = (logp_weights[:, None] * (onehot - probs) - entropy_weights[:, None]
+                * probs * (cache["logp"] + cache["entropy"][:, None]))
+    grads = MlpParameters(params.layer_dims, np.empty_like(params.flat))
+    _backward_stack(params.actor, cache["actor_hs"], d_logits, grads.actor)
+    _backward_stack(params.critic, cache["critic_hs"], value_weights[:, None],
+                    grads.critic)
+    return grads.flat
 
 
 # ---------------------------------------------------------------- optimizer
 
 @dataclass
 class AdamOptimizer:
-    """Adaptive moment estimation with bias correction, epsilon 1e-8."""
+    """Adaptive moment estimation with bias correction, epsilon 1e-8, as one
+    elementwise pass over the flat vector (the bits of a per-array loop)."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    _m: List[np.ndarray] = field(default_factory=list)
-    _v: List[np.ndarray] = field(default_factory=list)
+    _m: Optional[np.ndarray] = None
+    _v: Optional[np.ndarray] = None
+    _scratch: Optional[np.ndarray] = None
 
-    def step(self, params: MlpParameters, actor_grads, critic_grads,
+    def step(self, params: MlpParameters, grad: np.ndarray,
              learning_rate: float) -> None:
-        """In-place descent step along the given gradients."""
-        flat_grads = []
-        for stack in (actor_grads, critic_grads):
-            for w, b in stack:
-                flat_grads.extend((w, b))
-        arrays = list(params.arrays())
-        if not self._m:
-            self._m = [np.zeros_like(a) for a in arrays]
-            self._v = [np.zeros_like(a) for a in arrays]
-        if len(flat_grads) != len(arrays):
-            raise DimensionMismatchError("gradient structure differs from parameters")
+        """In-place descent step along grad (backward_batch's layout)."""
+        if self._m is None:
+            self._m = np.zeros_like(params.flat)
+            self._v = np.zeros_like(params.flat)
+            self._scratch = np.empty((2, params.flat.size))
         self.step_count += 1
         t = self.step_count
-        for a, g, m, v in zip(arrays, flat_grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            a -= learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        m, v = self._m, self._v
+        step, denom = self._scratch
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grad, out=step)
+        v *= self.beta2
+        np.multiply(grad, grad, out=step)
+        v += np.multiply(1.0 - self.beta2, step, out=step)
+        np.divide(m, 1.0 - self.beta1 ** t, out=step)  # m_hat
+        np.divide(v, 1.0 - self.beta2 ** t, out=denom)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.epsilon
+        step *= learning_rate
+        step /= denom
+        params.flat -= step
 
 
 # ------------------------------------------------------------- checkpoints
@@ -323,33 +349,14 @@ def load_checkpoint(path: str) -> MlpParameters:
             raise CheckpointFormatError(f"{path}:{lineno}: bad number {raw!r}") from None
     flat = np.asarray(values, dtype=np.float64)
 
-    critic_dims = dims[:-1] + (1,)
-    expected = sum((dims[i + 1] * dims[i] + dims[i + 1]) for i in range(len(dims) - 1))
-    expected += sum((critic_dims[i + 1] * critic_dims[i] + critic_dims[i + 1])
-                    for i in range(len(critic_dims) - 1))
+    layout, expected = _layout(dims)
     if flat.size != expected:
         raise CheckpointFormatError(
             f"{path}: {flat.size} parameters, layout wants {expected}")
 
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        n = int(np.prod(shape))
-        out = flat[pos:pos + n].reshape(shape)
-        pos += n
-        return out.copy()
-
-    def read_stack(stack_dims):
-        stack = []
-        for i in range(len(stack_dims) - 1):
-            w = take((stack_dims[i + 1], stack_dims[i]))
-            b = take((stack_dims[i + 1],))
-            stack.append((w, b))
-        return stack
-
-    params = MlpParameters(layer_dims=dims, actor=read_stack(dims),
-                           critic=read_stack(critic_dims))
+    params = MlpParameters(dims, np.empty(expected))
+    for array, (offset, _, _) in zip(params.arrays(), layout):
+        array[...] = flat[offset:offset + array.size].reshape(array.shape)
     try:
         params.validate()
     except ValueError as exc:

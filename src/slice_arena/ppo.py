@@ -18,6 +18,11 @@ hand-derived backward pass; the per-sample chain-rule weights are
                                 r < 1-eps)
     d loss / d V      = 2 value_loss_coeff (V - R)
     d loss / d H      = -entropy_coeff
+
+A minibatch makes one forward_batch (its cache holds the log probabilities
+and entropies), one backward_batch (one flat gradient vector) and one fused
+AdamOptimizer.step. Callees are looked up as module attributes at call time,
+so a per-layer tracer can wrap them.
 """
 from __future__ import annotations
 
@@ -116,12 +121,14 @@ def compute_advantages(traj: Trajectory, discount: float,
     T = len(traj)
     next_values = np.append(traj.values[1:], traj.bootstrap_value)
     cont = 1.0 - traj.dones.astype(np.float64)
-    deltas = traj.rewards + discount * next_values * cont - traj.values
-    advantages = np.empty(T, dtype=np.float64)
+    deltas = (traj.rewards + discount * next_values * cont - traj.values).tolist()
+    cont = cont.tolist()  # the recursion runs on Python floats
+    advantages = [0.0] * T
     running = 0.0
     for t in range(T - 1, -1, -1):
         running = deltas[t] + discount * gae_lambda * cont[t] * running
         advantages[t] = running
+    advantages = np.array(advantages)
     return advantages, advantages + traj.values
 
 
@@ -145,8 +152,8 @@ def clipped_surrogate_loss(new_log_probs: np.ndarray, old_log_probs: np.ndarray,
     dead = ((advantages > 0.0) & (ratios > 1.0 + clip_range)) | \
            ((advantages < 0.0) & (ratios < 1.0 - clip_range))
     d_logp = np.where(dead, 0.0, -advantages * ratios)
-    clip_fraction = float(np.mean(np.abs(ratios - 1.0) > clip_range))
-    return float(per_sample.mean()), d_logp, ratios, clip_fraction
+    clip_fraction = float((np.abs(ratios - 1.0) > clip_range).sum() / ratios.size)
+    return float(per_sample.sum() / ratios.size), d_logp, ratios, clip_fraction
 
 
 @dataclass
@@ -169,28 +176,22 @@ def update(params: MlpParameters, traj: Trajectory, config: PpoConfig,
     advantages = normalize_advantages(advantages)
 
     T = len(traj)
-    ratio_sum = 0.0
-    clip_sum = 0.0
-    vloss_sum = 0.0
-    entropy_sum = 0.0
-    loss_sum = 0.0
+    sums = np.zeros(5)  # the UpdateStats fields, summed over minibatches
     batches = 0
     for _ in range(config.epochs_per_update):
         order = rng.permutation(T)
         for start in range(0, T, config.minibatch_size):
             idx = order[start:start + config.minibatch_size]
             b = idx.size
-            probs, values, cache = forward_batch(params, traj.observations[idx])
-            new_logp = np.log(np.maximum(probs[np.arange(b), traj.actions[idx]], 1e-300))
-            adv = advantages[idx]
-            ret = returns[idx]
+            actions = traj.actions[idx]
+            _, values, cache = forward_batch(params, traj.observations[idx])
+            new_logp = cache["logp"][np.arange(b), actions]
 
             clip_loss, d_logp, ratios, clip_frac = clipped_surrogate_loss(
-                new_logp, traj.log_probs[idx], adv, config.clip_range)
-            value_errors = values - ret
-            value_loss = float(np.mean(value_errors ** 2))
-            logp_batch = np.log(np.maximum(probs, 1e-300))
-            entropy = float(np.mean(-(probs * logp_batch).sum(axis=1)))
+                new_logp, traj.log_probs[idx], advantages[idx], config.clip_range)
+            value_errors = values - returns[idx]
+            value_loss = float((value_errors ** 2).sum() / b)
+            entropy = float(cache["entropy"].sum() / b)
             loss = clip_loss + config.value_loss_coeff * value_loss \
                 - config.entropy_coeff * entropy
             if not math.isfinite(loss):
@@ -199,27 +200,17 @@ def update(params: MlpParameters, traj: Trajectory, config: PpoConfig,
                     f"entropy {entropy!r})")
 
             # mean-over-minibatch loss: every per-sample weight carries 1/b
-            actor_grads, critic_grads = backward_batch(
-                params, cache, traj.actions[idx],
+            grad = backward_batch(
+                params, cache, actions,
                 logp_weights=d_logp / b,
                 value_weights=config.value_loss_coeff * 2.0 * value_errors / b,
                 entropy_weights=np.full(b, -config.entropy_coeff / b),
             )
-            optimizer.step(params, actor_grads, critic_grads, config.learning_rate)
+            optimizer.step(params, grad, config.learning_rate)
 
-            ratio_sum += float(ratios.mean())
-            clip_sum += clip_frac
-            vloss_sum += value_loss
-            entropy_sum += entropy
-            loss_sum += loss
+            sums += (ratios.sum() / b, clip_frac, value_loss, entropy, loss)
             batches += 1
-    return UpdateStats(
-        mean_ratio=ratio_sum / batches,
-        clip_fraction=clip_sum / batches,
-        value_loss=vloss_sum / batches,
-        entropy=entropy_sum / batches,
-        loss=loss_sum / batches,
-    )
+    return UpdateStats(*(sums / batches).tolist())
 
 
 @dataclass

@@ -248,3 +248,35 @@ def per_request_draw_arrivals(env):
                 (u_power, _geometric_lifetime(u_life, spec.departure_prob)))
     env._pending_counts = {s.slice_id: env.state.pending.count(s.slice_id)
                            for s in slices}
+
+
+class AdamReference:
+    """Adam with bias correction stepped one array at a time: for each
+    parameter array a with gradient g,
+
+        m = beta1 m + (1 - beta1) g,   v = beta2 v + (1 - beta2) g^2,
+        a -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps).
+
+    step takes matching lists of parameter arrays (updated in place) and
+    gradient arrays; m and v are lists of arrays shaped like them."""
+
+    def __init__(self, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self.step_count = 0
+        self.m = []
+        self.v = []
+
+    def step(self, arrays, grads, learning_rate):
+        if not self.m:
+            self.m = [np.zeros_like(a) for a in arrays]
+            self.v = [np.zeros_like(a) for a in arrays]
+        self.step_count += 1
+        t = self.step_count
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            a -= learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)

@@ -34,7 +34,8 @@ from slice_arena.dimensioning import (TrafficProfile, estimate_vnf_count,
 from slice_arena.harness import (compare, run_scenario,
                                  train_defense_ensemble, train_single_models,
                                  write_results)
-from slice_arena.policy import backward_batch, forward_batch, init_parameters
+from slice_arena.policy import (MlpParameters, backward_batch, forward_batch,
+                                init_parameters)
 from slice_arena.ppo import clipped_surrogate_loss
 
 from conftest import PAPER_PROFILE, make_dc, make_slice
@@ -195,14 +196,10 @@ def test_criterion_09_gradients_match_finite_differences():
         T = 6
         obs = rng.normal(size=(T, 3))
         actions = rng.integers(0, 3, size=T)
-        flat0 = np.concatenate([a.reshape(-1) for a in params.arrays()])
+        flat0 = params.flat.copy()
 
         def run_at(flat):
-            p = params.copy()
-            pos = 0
-            for arr in p.arrays():
-                arr[:] = flat[pos:pos + arr.size].reshape(arr.shape)
-                pos += arr.size
+            p = MlpParameters(params.layer_dims, flat)
             probs, values, _ = forward_batch(p, obs)
             logp = np.log(probs[np.arange(T), actions])
             entropy = -(probs * np.log(probs)).sum(axis=1)
@@ -210,12 +207,9 @@ def test_criterion_09_gradients_match_finite_differences():
 
         def analytic(logp_w, value_w, entropy_w):
             _, values, cache = forward_batch(params, obs)
-            actor_g, critic_g = backward_batch(
+            return backward_batch(
                 params, cache, actions, logp_weights=logp_w,
                 value_weights=value_w, entropy_weights=entropy_w)
-            return np.concatenate([g.reshape(-1)
-                                   for gw, gb in actor_g + critic_g
-                                   for g in (gw, gb)])
 
         # policy core: a fixed blend of log-prob, value, and entropy
         def core_scalar(flat):

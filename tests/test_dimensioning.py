@@ -140,6 +140,24 @@ class TestOverprovisionRatio:
             assert overprovision_power_ratio(base, inflated, study) == \
                 (power - base_power) / base_power
 
+    def test_baseline_simulated_once(self, study, base, monkeypatch):
+        import slice_arena.dimensioning as dimensioning
+        import slice_arena.env as env_module
+
+        runs = []
+        original = env_module.run_episodes
+
+        def counting(envs, seeds, decide):
+            runs.append(envs[0].scenario.slices[0].chain_capacity)
+            return original(envs, seeds, decide)
+
+        monkeypatch.setattr(env_module, "run_episodes", counting)
+        dimensioning._greedy_mean_power.cache_clear()
+        r10 = overprovision_power_ratio(base, 10, study)
+        r12 = overprovision_power_ratio(base, 12, study)
+        assert sorted(runs) == sorted([base.vnf_count, 10, 12])
+        assert (r10, r12) == (0.17984209438397192, 0.30076736593338366)
+
     def test_monotone_in_inflated_count(self, study, base):
         ratios = [overprovision_power_ratio(base, m, study, slots=1500)
                   for m in (8, 9, 10, 11, 12)]

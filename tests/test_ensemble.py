@@ -331,10 +331,10 @@ class TestLockstep:
                                      hidden=(8,), seed=i)
             rng = np.random.default_rng(i)
             w, b = params.actor[0]
-            params.actor[0] = (rng.normal(0, 4, w.shape),
-                               rng.normal(0, 2, b.shape))
+            w[...] = rng.normal(0, 4, w.shape)
+            b[...] = rng.normal(0, 2, b.shape)
             w, b = params.actor[-1]
-            params.actor[-1] = (rng.normal(0, 2, w.shape), b)
+            w[...] = rng.normal(0, 2, w.shape)
             members.append(params)
         return members
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from slice_arena.env import StepOutcome
-from slice_arena.policy import (AdamOptimizer, forward_batch, init_parameters,
-                                policy_forward)
+from slice_arena.policy import (AdamOptimizer, MlpParameters, backward_batch,
+                                forward_batch, init_parameters, policy_forward)
 from slice_arena.ppo import (NonFiniteLossError, PpoConfig, Trajectory,
                              clipped_surrogate_loss, compute_advantages,
                              normalize_advantages, train, update)
@@ -159,11 +159,7 @@ class TestUpdate:
             vcoef, ecoef = 0.5, 0.01
 
             def loss_at(flat):
-                p = params.copy()
-                pos = 0
-                for arr in p.arrays():
-                    arr[:] = flat[pos:pos + arr.size].reshape(arr.shape)
-                    pos += arr.size
+                p = MlpParameters(params.layer_dims, flat)
                 probs, values, _ = forward_batch(p, obs)
                 new_logp = np.log(probs[np.arange(T), actions])
                 clip_loss, _, _, _ = clipped_surrogate_loss(
@@ -176,16 +172,12 @@ class TestUpdate:
             new_logp = np.log(probs[np.arange(T), actions])
             _, d_logp, _, _ = clipped_surrogate_loss(
                 new_logp, old_logp, advantages, clip_range)
-            from slice_arena.policy import backward_batch
-            actor_g, critic_g = backward_batch(
+            analytic = backward_batch(
                 params, cache, actions,
                 logp_weights=d_logp / T,
                 value_weights=vcoef * 2.0 * (values - returns) / T,
                 entropy_weights=np.full(T, -ecoef / T))
-            analytic = np.concatenate(
-                [g.reshape(-1) for gw, gb in actor_g + critic_g for g in (gw, gb)])
-            flat0 = np.concatenate([a.reshape(-1) for a in params.arrays()])
-            numeric = numerical_gradient(loss_at, flat0, eps=1e-5)
+            numeric = numerical_gradient(loss_at, params.flat.copy(), eps=1e-5)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
     def test_rejects_wrong_length(self):

@@ -51,3 +51,37 @@ def test_traced_baselines_count_every_decision(paper_cfg):
                         if s.decisions)
     assert tracer.calls["baselines.random_decision"] == decisions
     assert tracer.calls["baselines.oracle_call"] == decided_slots
+
+
+def test_traced_training_counts_every_layer():
+    # ppo.train must look up policy_forward, forward_batch, backward_batch and
+    # compute_advantages when it runs; a bound or inlined callee would zero
+    # that layer's per-layer metric without failing anything else
+    from conftest import make_scenario, make_slice
+
+    scenario = make_scenario(slices=(make_slice(arrival_mean=2.0),), horizon=25)
+    dones = []
+
+    class RecordingEnv(slice_arena.SliceEnv):
+        def step(self, action):
+            outcome = super().step(action)
+            dones.append(outcome.episode_done)
+            return outcome
+
+    updates, steps, minibatch, epochs = 2, 64, 16, 2
+    config = slice_arena.PpoConfig(steps_per_update=steps,
+                                   total_env_steps=updates * steps,
+                                   minibatch_size=minibatch,
+                                   epochs_per_update=epochs, hidden_sizes=(8,))
+    with tracing.Tracer(slice_arena) as tracer:
+        slice_arena.ppo.train(lambda: RecordingEnv(scenario), config)
+    minibatches = updates * epochs * (steps // minibatch)
+    bootstraps = sum(not dones[(u + 1) * steps - 1] for u in range(updates))
+    assert len(dones) == updates * steps
+    assert tracer.calls["env.step"] == updates * steps
+    assert tracer.calls["policy.forward1"] == updates * steps + bootstraps
+    assert tracer.calls["policy.forward_batch"] == minibatches
+    assert tracer.calls["policy.backward"] == minibatches
+    assert tracer.calls["policy.adam"] == minibatches
+    assert tracer.calls["ppo.gae"] == updates
+    assert tracer.calls["ppo.update"] == updates
