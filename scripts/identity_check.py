@@ -3,13 +3,17 @@
 
     python3 scripts/identity_check.py REV
 
-Unpacks ``git archive REV`` into a temporary directory, then runs four
+Unpacks ``git archive REV`` into a temporary directory, then runs five
 probes on that tree and on the working tree:
 
 * ``compare``: all five scenarios on the bundled paper.cfg (20 seeds, attack
   and selection seed 0, as ``slice-arena compare`` runs them) with the
   checkpoints in the working tree's perfbench/inputs, for both trees; the
   SHA-256 of metrics.csv and summary.csv;
+* ``sweep``: ``sweep`` over all five scenarios on paper.cfg with
+  ``arrival_sweep`` (2, 6), the config's first 5 seeds, the same checkpoints
+  and attack and selection seed 0; the SHA-256 of metrics.csv and
+  summary.csv;
 * ``train``: ``train_single_models`` at seed 3 and 6,144 steps per model;
   the SHA-256 of both checkpoints;
 * ``overprovision``: ``overprovision_power_ratio`` on
@@ -27,6 +31,7 @@ agree, 1 when any differs, 2 when a probe fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -38,7 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "perfbench" / "inputs"
-PROBES = ("compare", "train", "overprovision", "checkpoint-io")
+PROBES = ("compare", "sweep", "train", "overprovision", "checkpoint-io")
 
 
 def sha256(path: Path) -> str:
@@ -58,6 +63,12 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
                              attack=sa.AttackConfig(seed=0), selection_seed=0)
         paths = sa.write_results(results, scratch / "compare", config)
         return {f"compare/{Path(p).name}": sha256(Path(p)) for p in paths}
+    if name == "sweep":
+        swept = dataclasses.replace(config, arrival_sweep=(2.0, 6.0))
+        points = sa.sweep(swept, seeds=config.seeds[:5], artifacts=INPUTS,
+                          attack=sa.AttackConfig(seed=0), selection_seed=0)
+        paths = sa.write_results([p.result for p in points], scratch / "sweep", swept)
+        return {f"sweep/{Path(p).name}": sha256(Path(p)) for p in paths}
     if name == "train":
         paths = sa.train_single_models(config, scratch / "train", seed=3,
                                        total_env_steps=6_144)

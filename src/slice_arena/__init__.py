@@ -21,9 +21,8 @@ from .ensemble import (EnsembleManifestError, EnsembleSpec,
                        evaluate_policy, evaluate_under_attack, load_ensemble,
                        save_ensemble, select_model, train_ensemble)
 from .env import (REJECT, Chain, ClusterState, DataCenterSpec,
-                  InvalidDecisionError, InvalidScenarioError,
-                  NoPendingRequestError, ResourceVector, SliceEnv, SliceSpec,
-                  StepOutcome, admission_feasible)
+                  InvalidDecisionError, NoPendingRequestError, ResourceVector,
+                  SliceEnv, SliceSpec, StepOutcome)
 from .harness import (SCENARIO_NAMES, MissingCheckpointError, ScenarioResult,
                       compare, run_scenario, sweep, train_defense_ensemble,
                       train_single_models, write_results)

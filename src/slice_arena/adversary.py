@@ -20,7 +20,8 @@ from the true state; identical action sequences leave identical true
 trajectories with or without the wrapper. Per decision step it draws the
 attack Bernoulli, forges the observation before the agent acts, and
 recomputes the reward after the true step, through forge_observation and
-forged_reward.
+forged_reward. forge_observation takes only a generator: the black-box
+contract grants the attacker no state access.
 """
 from __future__ import annotations
 
@@ -38,23 +39,15 @@ _STREAM_ATTACK = 21
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Attack intensity and bookkeeping.
-
-    target_model_index only matters for ensemble runs: it names the member
-    whose training the attack was crafted against.
-    """
+    """Attack intensity and the seed of the attack stream."""
 
     attack_probability: float = 0.25
-    target_model_index: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.attack_probability <= 1.0:
             raise ValueError(
                 f"attack_probability must lie in [0, 1], got {self.attack_probability!r}")
-        if self.target_model_index < 0:
-            raise ValueError(
-                f"target_model_index must be >= 0, got {self.target_model_index!r}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +72,8 @@ class ForgeryAdversary:
         self.scenario = scenario
         self._power_scale = power_scale(scenario)
 
-    def forge_observation(self, true_state, rng) -> np.ndarray:
-        """Draw a fresh, feasible-looking observation of the true layout.
-
-        true_state is accepted for the call shape but deliberately never
-        read: the black-box contract grants the attacker no state access.
-        """
-        del true_state
+    def forge_observation(self, rng) -> np.ndarray:
+        """Draw a fresh, feasible-looking observation of the true layout."""
         sc = self.scenario
         values = list(np.atleast_1d(rng.uniform(size=3 * len(sc.datacenters))))
         for s in sc.slices:
@@ -135,11 +123,10 @@ class PoisonedEnv:
     many decisions per slot were attacked.
     """
 
-    def __init__(self, env: SliceEnv, config: AttackConfig,
-                 adversary: Optional[ForgeryAdversary] = None) -> None:
+    def __init__(self, env: SliceEnv, config: AttackConfig) -> None:
         self.env = env
         self.config = config
-        self.adversary = adversary or ForgeryAdversary(env.scenario)
+        self.adversary = ForgeryAdversary(env.scenario)
         self.attacked_by_slot: Dict[int, int] = {}
         self.lifetime_attacked = 0  # survives resets, unlike attacked_by_slot
         self._rng = None
@@ -166,9 +153,6 @@ class PoisonedEnv:
     def has_pending(self) -> bool:
         return self.env.has_pending()
 
-    def attacked_steps(self) -> int:
-        return sum(self.attacked_by_slot.values())
-
     def reset(self, seed: int) -> np.ndarray:
         true_obs = self.env.reset(seed)
         self._rng = np.random.Generator(np.random.PCG64(
@@ -186,8 +170,7 @@ class PoisonedEnv:
             return true_obs
         if self._rng.random() < self.config.attack_probability:
             self._attacked_now = True
-            self._forged_obs = self.adversary.forge_observation(
-                self.env.state, self._rng)
+            self._forged_obs = self.adversary.forge_observation(self._rng)
             slot = self.env.state.slot_index
             self.attacked_by_slot[slot] = self.attacked_by_slot.get(slot, 0) + 1
             self.lifetime_attacked += 1

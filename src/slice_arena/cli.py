@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -173,12 +174,11 @@ def cmd_sweep(args) -> int:
     for name in scenarios:
         if name not in SCENARIO_NAMES:
             raise CliUsageError(f"unknown scenario {name!r}")
-    arrivals = None
     if args.arrivals:
-        arrivals = [float(a) for a in args.arrivals.split(",") if a]
-    points = sweep(config, arrival_values=arrivals, scenarios=scenarios,
-                   artifacts=args.out, attack=_attack(args),
-                   selection_seed=args.seed)
+        config = dataclasses.replace(config, arrival_sweep=tuple(
+            float(a) for a in args.arrivals.split(",") if a))
+    points = sweep(config, scenarios=scenarios, artifacts=args.out,
+                   attack=_attack(args), selection_seed=args.seed)
     metrics_path, summary_path = write_results(
         [p.result for p in points], Path(args.out) / "sweep", config)
     for point in points:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .dimensioning import TrafficProfile, estimate_vnf_count
 from .env import DataCenterSpec, ResourceVector, SliceSpec
@@ -78,8 +78,9 @@ class ScenarioConfig:
                 "power_mode", f"must be one of {POWER_MODES}, got {self.power_mode!r}")
         if not self.seeds:
             raise ConfigValidationError("seeds", "at least one seed is required")
-        if any(a <= 0.0 for a in self.arrival_sweep):
-            raise ConfigValidationError("arrival_sweep", "arrival means must be positive")
+        if not all(math.isfinite(a) and a > 0.0 for a in self.arrival_sweep):
+            raise ConfigValidationError(
+                "arrival_sweep", "arrival means must be finite and positive")
         ids = [dc.dc_id for dc in self.datacenters]
         if len(set(ids)) != len(ids):
             raise ConfigValidationError("datacenters", f"duplicate data center ids in {ids}")

@@ -14,16 +14,15 @@ serving schedule is reproducible and independent of every environment
 stream. The ensemble round-trips through a plain-text manifest next to one
 checkpoint file per member.
 
-Greedy evaluation runs the episodes of all seeds through env.run_episodes,
-with one batched actor-only forward (policy.forward_actor) per serving
-member per lockstep step; a single policy is a one-member ensemble. Every
-environment keeps its own seeded streams, so the records are those of
-running the seeds one after another.
+Greedy evaluation runs one episode per caller-given seed, all of them
+through env.run_episodes, with one batched actor-only forward
+(policy.forward_actor) per serving member per lockstep step; a single
+policy is a one-member ensemble. Every environment keeps its own seeded
+streams, so the records are those of running the seeds one after another.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -92,19 +91,28 @@ class EnsembleSpec:
             raise ValueError(f"attacked_member {self.attacked_member} out of range")
 
 
+def _quality_gate(clean_admission: Sequence[float], attacked: int,
+                  gate_ratio: float) -> Tuple[float, List[int]]:
+    """The quality floor, gate_ratio times the best clean member's admission
+    rate, and the clean members below it in index order; the attacked member
+    is exempt."""
+    gated = [i for i in range(len(clean_admission)) if i != attacked]
+    if not gated:
+        return 0.0, []
+    floor = gate_ratio * max(clean_admission[i] for i in gated)
+    return floor, [i for i in gated if clean_admission[i] < floor - 1e-12]
+
+
 def check_member_quality(spec: EnsembleSpec, gate_ratio: float = 0.9) -> None:
     """Raise MemberQualityError if any clean member's measured admission rate
     falls below gate_ratio times the best clean member's."""
     if len(spec.clean_admission) != len(spec.member_configs):
         raise ValueError("spec has no recorded clean admission rates")
-    gated = [i for i in range(len(spec.member_configs))
-             if i != spec.attacked_member]
-    if not gated:
-        return
-    floor = gate_ratio * max(spec.clean_admission[i] for i in gated)
-    for i in gated:
-        if spec.clean_admission[i] < floor - 1e-12:
-            raise MemberQualityError(i, spec.clean_admission[i], floor)
+    floor, failing = _quality_gate(spec.clean_admission, spec.attacked_member,
+                                   gate_ratio)
+    if failing:
+        raise MemberQualityError(failing[0], spec.clean_admission[failing[0]],
+                                 floor)
 
 
 def default_member_configs(base_seed: int = 0,
@@ -124,23 +132,22 @@ def default_member_configs(base_seed: int = 0,
             for i, v in enumerate(variants)]
 
 
-def select_model(spec: EnsembleSpec, slot_index: int, rng=None) -> int:
-    """Uniform member choice for one slot; keyed by the selection seed and
-    the slot index unless an explicit generator is supplied."""
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((spec.selection_seed, slot_index))))
+def select_model(spec: EnsembleSpec, slot_index: int) -> int:
+    """Uniform member choice for one slot, keyed by the selection seed and
+    the slot index."""
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((spec.selection_seed, slot_index))))
     return int(rng.integers(len(spec.member_configs)))
 
 
 def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
                      seeds: Sequence[int], attack: Optional[AttackConfig],
-                     name: str, model_index: int,
-                     serve: Optional[Callable[[int], int]] = None,
+                     name: str, serve: Optional[Callable[[int], int]] = None,
                      ) -> Tuple[RunMetrics, List[EpisodeRecord]]:
     """Greedy episodes of all seeds in lockstep. serve maps a global slot
-    index (episode index * horizon + slot) to the member deciding it;
-    without it member 0 decides and no member map is recorded."""
+    index (episode index * horizon + slot) to the member deciding it, and
+    the records carry model_index -1 and a member map; without it member 0
+    decides every slot and is the records' model_index."""
     envs = [SliceEnv(scenario) for _ in seeds]
     wrapped = [PoisonedEnv(env, attack) if attack is not None else env
                for env in envs]
@@ -166,7 +173,7 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
     run_episodes(wrapped, seeds, decide)
     records = [EpisodeRecord(
         scenario=name, seed=int(seed), slot_log=list(env.slot_log),
-        model_index=model_index,
+        model_index=0 if serve is None else -1,
         member_by_slot=member_map if serve is not None else None,
         attacked_by_slot=dict(w.attacked_by_slot) if attack is not None else {})
         for seed, env, w, member_map in zip(seeds, envs, wrapped, member_maps)]
@@ -175,35 +182,29 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
 
 def evaluate_policy(params: MlpParameters, scenario: ScenarioConfig,
                     seeds: Sequence[int], attack: Optional[AttackConfig] = None,
-                    name: str = "eval", model_index: int = 0,
+                    name: str = "eval",
                     ) -> Tuple[RunMetrics, List[EpisodeRecord]]:
     """Greedy episodes of one policy, one per seed; optionally under attack.
 
     Metrics always come from the true environment; the adversary only
     corrupts what the policy sees.
     """
-    return _greedy_lockstep([params], scenario, seeds, attack, name, model_index)
+    return _greedy_lockstep([params], scenario, seeds, attack, name)
 
 
 def evaluate_under_attack(spec: EnsembleSpec, scenario: ScenarioConfig,
-                          attack: AttackConfig, slots: int = 0,
-                          seeds: Optional[Sequence[int]] = None,
+                          attack: AttackConfig, seeds: Sequence[int],
                           name: str = "ppo-mtd",
                           ) -> Tuple[RunMetrics, List[EpisodeRecord]]:
     """Serve the ensemble under the adversary: per slot one member is drawn
     and acts greedily on the (possibly forged) observation.
 
-    Episodes are seeded from `seeds`, or from a fixed default sequence
-    covering at least `slots` slots. The per-slot member map is keyed by a
-    global slot counter so longer evaluations extend, not repeat, the
-    serving schedule.
+    One episode runs per seed. The per-slot member map is keyed by a global
+    slot counter so longer evaluations extend, not repeat, the serving
+    schedule.
     """
     spec.validate()
-    if seeds is None:
-        episodes = max(1, math.ceil(slots / scenario.horizon))
-        seeds = tuple(70_001 + i for i in range(episodes))
     return _greedy_lockstep(spec.parameters, scenario, seeds, attack, name,
-                            model_index=-1,
                             serve=lambda slot: select_model(spec, slot))
 
 
@@ -255,12 +256,8 @@ def train_ensemble(scenario: ScenarioConfig, member_configs: Sequence[PpoConfig]
     # the floor follows the best surviving member, so re-check every round;
     # retrain seeds stay collision-free (originals occupy base..base+K-1)
     count = len(configs)
-    gated = [i for i in range(count) if i != attacked]
     for round_index in range(1, max_retrain_rounds + 1):
-        if not gated:
-            break
-        floor = gate_ratio * max(clean_admission[i] for i in gated)
-        failing = [i for i in gated if clean_admission[i] < floor - 1e-12]
+        _, failing = _quality_gate(clean_admission, attacked, gate_ratio)
         if not failing:
             break
         for index in failing:
@@ -288,12 +285,6 @@ def train_ensemble(scenario: ScenarioConfig, member_configs: Sequence[PpoConfig]
 
 # ------------------------------------------------------------------ manifest
 
-_INT_FIELDS = {"steps_per_update", "epochs_per_update", "minibatch_size",
-               "total_env_steps", "seed"}
-_FLOAT_FIELDS = {"clip_range", "discount", "gae_lambda", "learning_rate",
-                 "value_loss_coeff", "entropy_coeff"}
-
-
 def _encode_config(config: PpoConfig) -> str:
     parts = []
     for f in dataclasses.fields(PpoConfig):
@@ -307,19 +298,20 @@ def _encode_config(config: PpoConfig) -> str:
 
 
 def _decode_config(text: str) -> PpoConfig:
+    """Parse _encode_config's text; each field takes the type of its
+    PpoConfig default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(PpoConfig)}
     kwargs = {}
     for part in text.split(";"):
         name, sep, raw = part.partition("=")
         if not sep:
             raise EnsembleManifestError(f"bad config fragment {part!r}")
-        if name == "hidden_sizes":
-            kwargs[name] = tuple(int(h) for h in raw.split("x"))
-        elif name in _INT_FIELDS:
-            kwargs[name] = int(raw)
-        elif name in _FLOAT_FIELDS:
-            kwargs[name] = float(raw)
-        else:
+        if name not in defaults:
             raise EnsembleManifestError(f"unknown config field {name!r}")
+        if isinstance(defaults[name], tuple):
+            kwargs[name] = tuple(int(h) for h in raw.split("x"))
+        else:
+            kwargs[name] = type(defaults[name])(raw)
     try:
         return PpoConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -72,10 +72,6 @@ class InvalidDecisionError(ValueError):
     """Decision outside {REJECT, 1..N}."""
 
 
-class InvalidScenarioError(ValueError):
-    """Scenario fails environment-level validation."""
-
-
 @dataclass(frozen=True)
 class ResourceVector:
     cpu: float
@@ -147,7 +143,6 @@ class Chain:
     dc_index: int
     power: float
     depart_after: float  # last slot index (inclusive) the chain is active; inf if never
-    admitted_slot: int
 
 
 @dataclass
@@ -193,22 +188,10 @@ class SlotRecord:
     per_slice: Dict[str, SliceSlotStats] = field(default_factory=dict)
 
 
-def admission_feasible(state: ClusterState, slice_spec: SliceSpec, dc_index: int) -> bool:
-    """True when the DC's remaining resources cover the demand and the slice
-    still has a free chain slot."""
-    if state.active_count(slice_spec.slice_id) >= slice_spec.chain_capacity:
-        return False
-    return state.remaining[dc_index].covers(slice_spec.demand)
-
-
 class SliceEnv:
     """Sequential-decision admission environment over a ScenarioConfig."""
 
     def __init__(self, scenario: "ScenarioConfig", debug: bool = False) -> None:
-        if not scenario.slices:
-            raise InvalidScenarioError("scenario defines no slices")
-        if not scenario.datacenters:
-            raise InvalidScenarioError("scenario defines no data centers")
         self.scenario = scenario
         self.debug = debug
         self._priorities = {s.slice_id: s.priority for s in scenario.slices}
@@ -292,8 +275,9 @@ class SliceEnv:
         return self._slice_by_id[self.state.pending[0]]
 
     def admission_feasible(self, slice_id: str, dc_index: int) -> bool:
-        """admission_feasible on this env's state, reading the slice's
-        active chains from the counter instead of scanning the ledger."""
+        """True when the DC's remaining resources cover the slice's demand
+        and the slice still has a free chain slot (read from the active
+        counter, not the ledger)."""
         spec = self._slice_by_id[slice_id]
         return (self._active_counts[slice_id] < spec.chain_capacity
                 and self.state.remaining[dc_index].covers(spec.demand))
@@ -357,7 +341,6 @@ class SliceEnv:
                     dc_index=dc_index,
                     power=lo + u_power * (hi - lo),
                     depart_after=state.slot_index + lifetime - 1,
-                    admitted_slot=state.slot_index,
                 )
                 state.chains.append(chain)
                 self._active_counts[slice_id] += 1

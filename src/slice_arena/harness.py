@@ -52,8 +52,6 @@ class MissingCheckpointError(FileNotFoundError):
 @dataclass
 class ScenarioResult:
     name: str
-    seeds: Tuple[int, ...]
-    per_seed: Tuple[RunMetrics, ...]
     aggregate: RunMetrics
     records: List[EpisodeRecord]
 
@@ -185,9 +183,7 @@ def run_scenario(name: str, config: ScenarioConfig,
         _, records = evaluate_under_attack(spec, config, attack, seeds=seeds,
                                            name=label)
 
-    per_seed = tuple(aggregate([record], config) for record in records)
-    return ScenarioResult(name=name, seeds=seeds, per_seed=per_seed,
-                          aggregate=aggregate(records, config),
+    return ScenarioResult(name=name, aggregate=aggregate(records, config),
                           records=records)
 
 
@@ -206,22 +202,19 @@ class SweepPoint:
     result: ScenarioResult
 
 
-def sweep(config: ScenarioConfig,
-          arrival_values: Optional[Sequence[float]] = None,
-          scenarios: Sequence[str] = SCENARIO_NAMES,
+def sweep(config: ScenarioConfig, scenarios: Sequence[str] = SCENARIO_NAMES,
           seeds: Optional[Sequence[int]] = None, artifacts=None,
           attack: Optional[AttackConfig] = None,
           selection_seed: int = 0) -> List[SweepPoint]:
-    """Rerun scenarios across arrival means, reusing trained checkpoints.
+    """Rerun scenarios across the arrival means of config.arrival_sweep,
+    reusing trained checkpoints.
 
     Every scenario at one arrival value replays the same seeds. Records are
     labeled ``name@a<arrival>`` so the summary carries one row per
     (scenario, arrival) pair.
     """
-    if arrival_values is None:
-        arrival_values = config.arrival_sweep
     points = []
-    for arrival in arrival_values:
+    for arrival in config.arrival_sweep:
         point_config = with_arrival_mean(config, arrival)
         for name in scenarios:
             label = f"{name}@a{arrival:g}"

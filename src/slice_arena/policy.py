@@ -7,6 +7,8 @@ a single linear unit. No autodiff: the backward pass is written out from the
 chain rule for this fixed family, and every gradient path is pinned by
 finite-difference tests. forward_actor runs the actor alone and returns the
 same probabilities as forward_batch, bit for bit, for callers that only act.
+tanh is the only hidden activation, and Adam's beta1, beta2 and epsilon are
+AdamOptimizer class constants.
 
 Layout. Every parameter lives in one float64 vector, MlpParameters.flat,
 in checkpoint order; each (W, b) is a view into it. A W with fewer rows
@@ -88,7 +90,6 @@ class MlpParameters:
 
     layer_dims: Tuple[int, ...]
     flat: np.ndarray
-    activation: str = "tanh"
     actor: List[Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
     critic: List[Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
@@ -117,13 +118,11 @@ class MlpParameters:
         return itertools.chain.from_iterable(self.actor + self.critic)
 
     def copy(self) -> "MlpParameters":
-        return MlpParameters(self.layer_dims, self.flat.copy(), self.activation)
+        return MlpParameters(self.layer_dims, self.flat.copy())
 
     def validate(self) -> None:
         if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
             raise ValueError(f"bad layer_dims {self.layer_dims!r}")
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         shapes = [a.shape for a in self.arrays()]
         if shapes != [shape for _, shape, _ in _layout(self.layer_dims)[0]]:
             raise ValueError(f"array shapes {shapes} differ from dims {self.layer_dims}")
@@ -267,18 +266,19 @@ def backward_batch(params: MlpParameters, cache, actions: np.ndarray,
 
 # ---------------------------------------------------------------- optimizer
 
-@dataclass
 class AdamOptimizer:
-    """Adaptive moment estimation with bias correction, epsilon 1e-8, as one
-    elementwise pass over the flat vector (the bits of a per-array loop)."""
+    """Adaptive moment estimation with bias correction, as one elementwise
+    pass over the flat vector (the bits of a per-array loop)."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    _m: Optional[np.ndarray] = None
-    _v: Optional[np.ndarray] = None
-    _scratch: Optional[np.ndarray] = None
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-8
+
+    def __init__(self) -> None:
+        self.step_count = 0
+        self._m: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
 
     def step(self, params: MlpParameters, grad: np.ndarray,
              learning_rate: float) -> None:
@@ -291,15 +291,15 @@ class AdamOptimizer:
         t = self.step_count
         m, v = self._m, self._v
         step, denom = self._scratch
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, grad, out=step)
-        v *= self.beta2
+        m *= self.BETA1
+        m += np.multiply(1.0 - self.BETA1, grad, out=step)
+        v *= self.BETA2
         np.multiply(grad, grad, out=step)
-        v += np.multiply(1.0 - self.beta2, step, out=step)
-        np.divide(m, 1.0 - self.beta1 ** t, out=step)  # m_hat
-        np.divide(v, 1.0 - self.beta2 ** t, out=denom)  # v_hat
+        v += np.multiply(1.0 - self.BETA2, step, out=step)
+        np.divide(m, 1.0 - self.BETA1 ** t, out=step)  # m_hat
+        np.divide(v, 1.0 - self.BETA2 ** t, out=denom)  # v_hat
         np.sqrt(denom, out=denom)
-        denom += self.epsilon
+        denom += self.EPSILON
         step *= learning_rate
         step /= denom
         params.flat -= step

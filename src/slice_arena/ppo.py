@@ -19,6 +19,7 @@ hand-derived backward pass; the per-sample chain-rule weights are
     d loss / d V      = 2 value_loss_coeff (V - R)
     d loss / d H      = -entropy_coeff
 
+Training starts from init_parameters at the config's seed and hidden sizes.
 A minibatch makes one forward_batch (its cache holds the log probabilities
 and entropies), one backward_batch (one flat gradient vector) and one fused
 AdamOptimizer.step. Callees are looked up as module attributes at call time,
@@ -27,8 +28,8 @@ so a per-layer tracer can wrap them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -228,8 +229,7 @@ class TrainResult:
     curve: List[CurveRow]
 
 
-def train(env_factory: Callable[[], object], config: PpoConfig,
-          initial_params: Optional[MlpParameters] = None) -> TrainResult:
+def train(env_factory: Callable[[], object], config: PpoConfig) -> TrainResult:
     """Run total_env_steps of interaction with PPO updates every
     steps_per_update steps. Deterministic for a given config.
 
@@ -237,8 +237,7 @@ def train(env_factory: Callable[[], object], config: PpoConfig,
     step(action) -> StepOutcome, and observation_size / n_actions.
     """
     env = env_factory()
-    params = initial_params.copy() if initial_params is not None \
-        else init_parameters(env.observation_size, env.n_actions,
+    params = init_parameters(env.observation_size, env.n_actions,
                              hidden=config.hidden_sizes, seed=config.seed)
     optimizer = AdamOptimizer()
     action_rng = np.random.Generator(np.random.PCG64(

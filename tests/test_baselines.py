@@ -71,7 +71,7 @@ class TestEnumeration:
 
 class TestAssignmentCost:
     def test_reject_all_costs_standing_power(self, two_dcs):
-        chains = [Chain("s1", 0, 120.0, depart_after=99, admitted_slot=0)]
+        chains = [Chain("s1", 0, 120.0, depart_after=99)]
         state = cluster([rv(30, 43, 4970), rv(32, 50, 5000)], chains)
         spec = make_slice(priority=2.0)
         cost = assignment_cost((0,), [spec], state, kappa=100.0,
@@ -262,8 +262,7 @@ def slot_instances(draw):
     max_requests = (8, 7, 6)[n_dcs - 1]
     requests = draw(st.lists(st.sampled_from(slices), min_size=1,
                              max_size=max_requests))
-    chains = [Chain(slices[s].slice_id, dc, float(power), depart_after=99,
-                    admitted_slot=0)
+    chains = [Chain(slices[s].slice_id, dc, float(power), depart_after=99)
               for s, dc, power in draw(st.lists(
                   st.tuples(st.integers(0, len(slices) - 1),
                             st.integers(0, n_dcs - 1), st.integers(50, 200)),

@@ -125,6 +125,14 @@ class TestTrainAndSweep:
         summary = (out / "sweep" / "summary.csv").read_text().splitlines()
         assert len(summary) == 5
 
+    @pytest.mark.parametrize("arrival", ["nan", "inf", "0", "-1"])
+    def test_sweep_rejects_bad_arrival(self, tiny_cfg_path, tmp_path, capsys,
+                                       arrival):
+        code = main(["sweep", "--config", tiny_cfg_path, "--out", str(tmp_path),
+                     "--scenarios", "random", "--arrivals", f"2,{arrival}"])
+        assert code == 1
+        assert "arrival_sweep" in capsys.readouterr().err
+
     def test_sweep_unknown_scenario(self, tiny_cfg_path, tmp_path, capsys):
         code = main(["sweep", "--config", tiny_cfg_path,
                      "--out", str(tmp_path), "--scenarios", "bogus"])

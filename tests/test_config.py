@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import textwrap
 
 import pytest
@@ -162,6 +164,12 @@ class TestValidation:
         with pytest.raises(ConfigValidationError) as err:
             parse_config("power_mode = solar\n" + MINIMAL)
         assert "power_mode" in str(err.value)
+
+    def test_non_finite_arrival_sweep_named(self):
+        cfg = ScenarioConfig(datacenters=(make_dc(),), slices=(make_slice(),))
+        with pytest.raises(ConfigValidationError) as err:
+            dataclasses.replace(cfg, arrival_sweep=(2.0, math.nan))
+        assert err.value.field_name == "arrival_sweep"
 
     def test_scenario_config_direct_validation(self):
         with pytest.raises(ConfigValidationError):

@@ -1,14 +1,12 @@
 import math
-from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slice_arena import (REJECT, ClusterState, InvalidDecisionError,
-                         NoPendingRequestError, ResourceVector, SliceEnv,
-                         admission_feasible)
+from slice_arena import (REJECT, InvalidDecisionError, NoPendingRequestError,
+                         ResourceVector, SliceEnv)
 from slice_arena.env import PENDING_CAP, _geometric_lifetime, run_episodes
 
 from conftest import make_dc, make_scenario, make_slice
@@ -67,25 +65,31 @@ class TestResourceVector:
 
 
 class TestFeasibilityAndCost:
-    def _state(self, remaining, chains=()):
-        return ClusterState(remaining=[ResourceVector(*remaining)],
-                            chains=list(chains), pending=deque(), slot_index=0)
+    def _env(self, cpu, *slices):
+        env = SliceEnv(make_scenario(datacenters=(make_dc(cpu=cpu),),
+                                     slices=slices))
+        env.reset(0)
+        return env
 
     def test_ample_resources_feasible(self):
-        state = self._state((32, 50, 5000))
-        assert admission_feasible(state, make_slice(demand=(2, 7, 30)), 0)
+        env = self._env(32.0, make_slice(demand=(2, 7, 30)))
+        assert env.admission_feasible("s1", 0)
 
     def test_cpu_short_infeasible(self):
-        state = self._state((1, 50, 5000))
-        assert not admission_feasible(state, make_slice(demand=(2, 7, 30)), 0)
+        env = self._env(1.0, make_slice(demand=(2, 7, 30)))
+        assert not env.admission_feasible("s1", 0)
 
     def test_chain_cap_blocks(self):
-        from slice_arena import Chain
-        spec = make_slice(chain_capacity=8)
-        chains = [Chain("s1", 0, 150.0, 99, 0) for _ in range(8)]
-        state = self._state((32, 50, 5000), chains)
-        assert not admission_feasible(state, spec, 0)
-        assert admission_feasible(state, make_slice("s2", demand=(1, 1, 1)), 0)
+        env = self._env(32.0, make_slice(arrival_mean=4.0, departure_prob=0.0,
+                                         chain_capacity=1),
+                        make_slice("s2", demand=(1, 1, 1)))
+        assert env.admission_feasible("s1", 0)
+        while env.current_request_slice().slice_id != "s1":
+            env.step(REJECT)
+        assert env.step(1).admitted
+        # the chain never departs; resources remain for both slices
+        assert not env.admission_feasible("s1", 0)
+        assert env.admission_feasible("s2", 0)
 
     def test_slot_cost_hand_value(self):
         # one chain slot, drawing exactly 150 and never departing; kappa 100
