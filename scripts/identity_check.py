@@ -15,7 +15,10 @@ probes on that tree and on the working tree:
   and attack and selection seed 0; the SHA-256 of metrics.csv and
   summary.csv;
 * ``train``: ``train_single_models`` at seed 3 and 6,144 steps per model;
-  the SHA-256 of both checkpoints;
+  the SHA-256 of both checkpoints. Where a second CPU is usable and the
+  platform can fork, this takes the two-process path (the poisoned twin
+  trains in a worker process), so the probe also holds that path to the
+  bytes of the revision's; it fails if a worker process outlives the call;
 * ``overprovision``: ``overprovision_power_ratio`` on
   ``overprovision_study_scenario(paper.cfg)`` at M = 10 and 12; the value;
 * ``checkpoint-io``: every checkpoint in the working tree's perfbench/inputs
@@ -25,8 +28,9 @@ probes on that tree and on the working tree:
 
 Each probe runs in a fresh interpreter that imports slice_arena from that
 tree's src/ only. The probes run one after another and each is waited for,
-so no process outlives the script. Prints every result and exits 0 when all
-agree, 1 when any differs, 2 when a probe fails.
+so no process outlives the script. Prints every result, then a verdict line;
+exits 0 only when every probe reported results and every result is
+``same``, 1 when any differs, 2 when a probe fails or reports nothing.
 """
 from __future__ import annotations
 
@@ -72,6 +76,9 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
     if name == "train":
         paths = sa.train_single_models(config, scratch / "train", seed=3,
                                        total_env_steps=6_144)
+        import multiprocessing
+        if multiprocessing.active_children():
+            raise RuntimeError("a training worker outlived train_single_models")
         return {f"train/{Path(p).name}": sha256(Path(p)) for p in paths}
     if name == "checkpoint-io":
         out = scratch / "checkpoint-io"
@@ -124,7 +131,7 @@ def main(argv=None) -> int:
     if not args.rev:
         parser.error("give a git revision")
 
-    differ = False
+    differ, compared = False, 0
     with tempfile.TemporaryDirectory(prefix="identity-rev-") as rev_tree:
         try:
             unpack(args.rev, Path(rev_tree))
@@ -138,6 +145,10 @@ def main(argv=None) -> int:
             except RuntimeError as err:
                 print(f"error: {err}", file=sys.stderr)
                 return 2
+            if not theirs or not ours:
+                print(f"error: probe {name} reported no results", file=sys.stderr)
+                return 2
+            compared += 1
             for key in sorted(set(theirs) | set(ours)):
                 a, b = theirs.get(key), ours.get(key)
                 if a == b:
@@ -145,6 +156,8 @@ def main(argv=None) -> int:
                 else:
                     differ = True
                     print(f"DIFFERENT  {key}  {args.rev}: {a}  working tree: {b}")
+    print(f"{'DIFFERENT' if differ else 'all same'}: {compared} of "
+          f"{len(PROBES)} probes compared")
     return 1 if differ else 0
 
 

@@ -78,6 +78,8 @@ class ScenarioConfig:
                 "power_mode", f"must be one of {POWER_MODES}, got {self.power_mode!r}")
         if not self.seeds:
             raise ConfigValidationError("seeds", "at least one seed is required")
+        if not self.arrival_sweep:
+            raise ConfigValidationError("arrival_sweep", "at least one arrival mean is required")
         if not all(math.isfinite(a) and a > 0.0 for a in self.arrival_sweep):
             raise ConfigValidationError(
                 "arrival_sweep", "arrival means must be finite and positive")

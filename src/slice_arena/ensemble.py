@@ -308,10 +308,14 @@ def _decode_config(text: str) -> PpoConfig:
             raise EnsembleManifestError(f"bad config fragment {part!r}")
         if name not in defaults:
             raise EnsembleManifestError(f"unknown config field {name!r}")
-        if isinstance(defaults[name], tuple):
-            kwargs[name] = tuple(int(h) for h in raw.split("x"))
-        else:
-            kwargs[name] = type(defaults[name])(raw)
+        try:
+            if isinstance(defaults[name], tuple):
+                kwargs[name] = tuple(int(h) for h in raw.split("x"))
+            else:
+                kwargs[name] = type(defaults[name])(raw)
+        except ValueError:
+            raise EnsembleManifestError(
+                f"bad value {raw!r} for config field {name!r}") from None
     try:
         return PpoConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -14,10 +14,15 @@ streams depend only on the episode seed), so differences in the metrics are
 attributable to the policy alone. Training artifacts live in a directory
 managed here: ``model.ckpt`` (clean), ``attacked_model.ckpt`` (poisoned
 training), and ``ensemble/`` (manifest plus member checkpoints).
+
+``train_single_models`` uses a second core when one is free: the poisoned
+twin trains in a forked worker process beside the clean model, with the
+same checkpoint bytes as training the two one after the other.
 """
 from __future__ import annotations
 
 import dataclasses
+import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,24 +63,94 @@ class ScenarioResult:
 
 # ----------------------------------------------------------------- training
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _train_and_save(scenario: ScenarioConfig, config: PpoConfig,
+                    attack: Optional[AttackConfig], path: Path) -> None:
+    """Train one model, poisoned when attack is given, and write its
+    checkpoint; a pure function of its arguments."""
+    def make_env():
+        env = SliceEnv(scenario)
+        return env if attack is None else PoisonedEnv(env, attack)
+
+    save_checkpoint(train(make_env, config).params, str(path))
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a training worker."""
+
+
+def _worker(sender, *job) -> None:
+    """A forked worker's body: run one job and send back None, or the
+    exception it raised with its traceback text."""
+    import traceback
+    with sender:
+        try:
+            _train_and_save(*job)
+        except BaseException as exc:
+            sender.send((exc, traceback.format_exc()))
+        else:
+            sender.send(None)
+
+
 def train_single_models(scenario: ScenarioConfig, artifacts,
                         seed: int = 0, total_env_steps: int = 200_000,
                         attack: Optional[AttackConfig] = None,
                         ) -> Tuple[Path, Path]:
     """Train the clean serving model and its poisoned twin; returns the two
-    checkpoint paths."""
+    checkpoint paths.
+
+    When a second CPU is usable and the platform can fork, the twin trains
+    in one forked worker process while this process trains the clean model;
+    otherwise they train one after the other. Either way the checkpoints
+    are the same bytes. An exception from either job is raised here as
+    itself, and no worker outlives the call.
+    """
     out = Path(artifacts)
     out.mkdir(parents=True, exist_ok=True)
     attack = attack if attack is not None else AttackConfig(seed=seed)
     config = PpoConfig(seed=seed, total_env_steps=total_env_steps)
+    clean_path, attacked_path = out / MODEL_CHECKPOINT, out / ATTACKED_CHECKPOINT
+    clean = (scenario, config, None, clean_path)
+    twin = (scenario, config, attack, attacked_path)
 
-    clean = train(lambda: SliceEnv(scenario), config)
-    clean_path = out / MODEL_CHECKPOINT
-    save_checkpoint(clean.params, str(clean_path))
+    # imported here, so that processes that never train do not pay for it
+    import multiprocessing
+    if _usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        _train_and_save(*clean)
+        _train_and_save(*twin)
+        return clean_path, attacked_path
 
-    poisoned = train(lambda: PoisonedEnv(SliceEnv(scenario), attack), config)
-    attacked_path = out / ATTACKED_CHECKPOINT
-    save_checkpoint(poisoned.params, str(attacked_path))
+    # fork, not spawn: the worker starts with every module already loaded
+    # (a spawned one would import numpy and this package again on every
+    # call), and no thread is started here before the fork
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    with receiver:
+        worker = context.Process(target=_worker, args=(sender, *twin))
+        worker.start()
+        sender.close()
+        try:
+            _train_and_save(*clean)
+            outcome = receiver.recv()
+        except EOFError:  # the worker died without answering
+            worker.join()
+            outcome = (RuntimeError(f"the worker training {attacked_path} "
+                                    f"died with exit code {worker.exitcode}"),
+                       "the worker sent no traceback")
+        except BaseException:
+            worker.terminate()  # stop the twin, so the error surfaces now
+            raise
+        finally:
+            worker.join()
+    if outcome is not None:
+        error, text = outcome
+        raise error from _WorkerTraceback(text)
     return clean_path, attacked_path
 
 

@@ -242,12 +242,19 @@ def _backward_stack(stack, hs, d_head: np.ndarray, grads) -> None:
             delta = (delta @ stack[i][0]) * (1.0 - hs[i] * hs[i])
 
 
+@functools.cache
+def _gradient_buffer(layer_dims: Tuple[int, ...]) -> MlpParameters:
+    """backward_batch's scratch vector, with its views built once per
+    layer_dims; every call overwrites all of it."""
+    return MlpParameters(layer_dims, np.empty(_layout(layer_dims)[1]))
+
+
 def backward_batch(params: MlpParameters, cache, actions: np.ndarray,
                    logp_weights: np.ndarray, value_weights: np.ndarray,
                    entropy_weights: np.ndarray):
     """Gradients of sum_i f_i over the batch, f as in the module docstring.
 
-    Returns one gradient vector in the layout of params.flat.
+    Returns a new gradient vector in the layout of params.flat.
     """
     probs = cache["probs"]
     batch, n_actions = probs.shape
@@ -257,11 +264,11 @@ def backward_batch(params: MlpParameters, cache, actions: np.ndarray,
     onehot[np.arange(batch), actions] = 1.0
     d_logits = (logp_weights[:, None] * (onehot - probs) - entropy_weights[:, None]
                 * probs * (cache["logp"] + cache["entropy"][:, None]))
-    grads = MlpParameters(params.layer_dims, np.empty_like(params.flat))
+    grads = _gradient_buffer(params.layer_dims)
     _backward_stack(params.actor, cache["actor_hs"], d_logits, grads.actor)
     _backward_stack(params.critic, cache["critic_hs"], value_weights[:, None],
                     grads.critic)
-    return grads.flat
+    return grads.flat.copy()
 
 
 # ---------------------------------------------------------------- optimizer

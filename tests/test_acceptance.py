@@ -131,12 +131,13 @@ def test_criterion_04_clean_model_beats_random(comparison):
     assert clean.admission_rate >= 1.4 * random_.admission_rate, (
         f"ppo-clean admission {clean.admission_rate:.4f} vs random "
         f"{random_.admission_rate:.4f} (bar {1.4 * random_.admission_rate:.4f}). "
-        f"At this load every policy saturates the same capacity, and "
-        f"admission decouples from the trained objective: random scores "
-        f"slot reward {random_.mean_slot_reward:.0f} (infeasible-attempt "
-        f"penalties) against ppo-clean's {clean.mean_slot_reward:.0f}, so "
-        f"reward-following training is conservative near the caps and "
-        f"cannot out-admit a penalty-blind baseline by 1.4x")
+        f"Random scores slot reward {random_.mean_slot_reward:.0f} "
+        f"(infeasible-attempt penalties) against ppo-clean's "
+        f"{clean.mean_slot_reward:.0f}: training against that penalty "
+        f"taught the policy to reject broadly, not to stop at the caps, so "
+        f"it rejects requests that both data centers could still take. The "
+        f"bar also lies above the ~0.40 admission ceiling that the per-slice "
+        f"chain cap sets for every policy at this load")
 
 
 def test_criterion_05_attack_halves_admission(comparison):

@@ -133,6 +133,14 @@ class TestTrainAndSweep:
         assert code == 1
         assert "arrival_sweep" in capsys.readouterr().err
 
+    def test_sweep_rejects_empty_arrivals(self, tiny_cfg_path, tmp_path,
+                                          capsys):
+        code = main(["sweep", "--config", tiny_cfg_path, "--out", str(tmp_path),
+                     "--scenarios", "random", "--arrivals", ","])
+        assert code == 1
+        assert "arrival_sweep" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_sweep_unknown_scenario(self, tiny_cfg_path, tmp_path, capsys):
         code = main(["sweep", "--config", tiny_cfg_path,
                      "--out", str(tmp_path), "--scenarios", "bogus"])

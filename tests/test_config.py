@@ -171,6 +171,12 @@ class TestValidation:
             dataclasses.replace(cfg, arrival_sweep=(2.0, math.nan))
         assert err.value.field_name == "arrival_sweep"
 
+    def test_empty_arrival_sweep_named(self):
+        cfg = ScenarioConfig(datacenters=(make_dc(),), slices=(make_slice(),))
+        with pytest.raises(ConfigValidationError) as err:
+            dataclasses.replace(cfg, arrival_sweep=())
+        assert err.value.field_name == "arrival_sweep"
+
     def test_scenario_config_direct_validation(self):
         with pytest.raises(ConfigValidationError):
             ScenarioConfig(datacenters=(make_dc(),), slices=(make_slice(),),

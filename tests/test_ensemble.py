@@ -239,6 +239,21 @@ class TestManifest:
         with pytest.raises(EnsembleManifestError, match="unknown config field"):
             load_ensemble(tmp_path)
 
+    @pytest.mark.parametrize("field_name, good, bad", [
+        ("seed", ";seed=0;", ";seed=abc;"),
+        ("clip_range", "clip_range=0.2;", "clip_range=wide;"),
+        ("hidden_sizes", "hidden_sizes=64x64", "hidden_sizes=64xq"),
+    ])
+    def test_malformed_config_value_names_field(self, tmp_path, field_name,
+                                                good, bad):
+        manifest = save_ensemble(dummy_spec(members=2), tmp_path)
+        body = manifest.read_text()
+        assert good in body
+        manifest.write_text(body.replace(good, bad, 1))
+        with pytest.raises(EnsembleManifestError,
+                           match=f"config field '{field_name}'"):
+            load_ensemble(tmp_path)
+
     def test_config_fragment_without_equals(self, tmp_path):
         manifest = save_ensemble(dummy_spec(members=2), tmp_path)
         body = manifest.read_text().replace("clip_range=0.2", "clip_range")

@@ -1,10 +1,15 @@
 import csv
 import dataclasses
+import multiprocessing
+import os
+import time
 
 import pytest
 
-from slice_arena import harness
-from slice_arena.adversary import AttackConfig
+from slice_arena import harness, ppo
+from slice_arena.adversary import AttackConfig, PoisonedEnv
+from slice_arena.env import SliceEnv
+from slice_arena.policy import save_checkpoint
 from slice_arena.harness import (ATTACKED_CHECKPOINT, MODEL_CHECKPOINT,
                                  SCENARIO_NAMES, MissingCheckpointError,
                                  compare, compare_table, run_scenario, sweep,
@@ -36,6 +41,98 @@ def artifacts(small_cfg, tmp_path_factory):
 
 
 SEEDS = (11, 12, 13)
+
+
+class JobFailed(RuntimeError):
+    """Raised by a stubbed training job; must reach the caller as itself."""
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Take the worker-process path even on a one-CPU machine."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+
+class TestTrainSingleModels:
+    def test_checkpoints_match_in_process_training(self, small_cfg, two_cpus,
+                                                   tmp_path):
+        paths = train_single_models(small_cfg, tmp_path / "worker", seed=0,
+                                    total_env_steps=4096)
+        assert multiprocessing.active_children() == []
+        config = ppo.PpoConfig(seed=0, total_env_steps=4096)
+        attack = AttackConfig(seed=0)
+        factories = (lambda: SliceEnv(small_cfg),
+                     lambda: PoisonedEnv(SliceEnv(small_cfg), attack))
+        for path, factory in zip(paths, factories):
+            direct = tmp_path / path.name
+            save_checkpoint(ppo.train(factory, config).params, str(direct))
+            assert path.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("reason", ["one cpu", "no fork"])
+    def test_serial_fallback_writes_the_same_bytes(self, small_cfg, artifacts,
+                                                   tmp_path, monkeypatch,
+                                                   reason):
+        if reason == "one cpu":
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        else:
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("the serial path started a worker")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_worker)
+        for path in train_single_models(small_cfg, tmp_path, seed=0,
+                                        total_env_steps=4096):
+            assert path.read_bytes() == (artifacts / path.name).read_bytes()
+
+    def test_config_error_surfaces_and_no_worker_remains(self, small_cfg,
+                                                         two_cpus, tmp_path):
+        with pytest.raises(ValueError, match="steps_per_update"):
+            train_single_models(small_cfg, tmp_path, total_env_steps=1024)
+        assert multiprocessing.active_children() == []
+
+    def test_twin_failure_keeps_its_type(self, small_cfg, two_cpus, tmp_path,
+                                         monkeypatch):
+        def broken_forger(env, attack):
+            raise JobFailed("forger down")
+
+        monkeypatch.setattr(harness, "PoisonedEnv", broken_forger)
+        with pytest.raises(JobFailed, match="forger down"):
+            train_single_models(small_cfg, tmp_path, total_env_steps=2048)
+        assert (tmp_path / MODEL_CHECKPOINT).is_file()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_reported(self, small_cfg, two_cpus, tmp_path,
+                                     monkeypatch):
+        parent = os.getpid()
+
+        def train(factory, config):
+            if os.getpid() != parent:
+                os._exit(3)
+            return ppo.train(factory, config)
+
+        monkeypatch.setattr(harness, "train", train)
+        with pytest.raises(RuntimeError, match="died with exit code 3"):
+            train_single_models(small_cfg, tmp_path, total_env_steps=2048)
+        assert multiprocessing.active_children() == []
+
+    def test_clean_failure_stops_the_running_twin(self, small_cfg, two_cpus,
+                                                  tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def train(factory, config):
+            if os.getpid() == parent:
+                raise JobFailed("clean job failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "train", train)
+        start = time.perf_counter()
+        with pytest.raises(JobFailed, match="clean job failed"):
+            train_single_models(small_cfg, tmp_path, total_env_steps=2048)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
 
 
 class TestPolicyFreeScenarios:

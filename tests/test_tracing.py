@@ -85,3 +85,20 @@ def test_traced_training_counts_every_layer():
     assert tracer.calls["policy.adam"] == minibatches
     assert tracer.calls["ppo.gae"] == updates
     assert tracer.calls["ppo.update"] == updates
+
+
+def test_traced_train_single_models_records_the_parent(tmp_path, monkeypatch):
+    # the twin trains in a worker process, whose spans the parent never sees;
+    # the clean model's training in the parent must still be recorded
+    from conftest import make_scenario, make_slice
+
+    scenario = make_scenario(slices=(make_slice(arrival_mean=2.0),), horizon=25)
+    monkeypatch.setattr(slice_arena.harness, "_usable_cpus", lambda: 2)
+    steps = slice_arena.PpoConfig().steps_per_update
+    with tracing.Tracer(slice_arena) as tracer:
+        slice_arena.train_single_models(scenario, tmp_path,
+                                        total_env_steps=steps)
+    assert tracer.calls["ppo.train"] == 1
+    assert tracer.calls["ppo.update"] == 1
+    assert tracer.calls["env.step"] == steps
+    assert tracer.calls["policy.save_checkpoint"] == 1
