@@ -39,6 +39,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
 import subprocess
 import sys
 import tarfile
@@ -76,7 +77,6 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
     if name == "train":
         paths = sa.train_single_models(config, scratch / "train", seed=3,
                                        total_env_steps=6_144)
-        import multiprocessing
         if multiprocessing.active_children():
             raise RuntimeError("a training worker outlived train_single_models")
         return {f"train/{Path(p).name}": sha256(Path(p)) for p in paths}

@@ -245,7 +245,9 @@ def _backward_stack(stack, hs, d_head: np.ndarray, grads) -> None:
 @functools.cache
 def _gradient_buffer(layer_dims: Tuple[int, ...]) -> MlpParameters:
     """backward_batch's scratch vector, with its views built once per
-    layer_dims; every call overwrites all of it."""
+    layer_dims; every call overwrites all of it. It is shared by every
+    caller in the process, so two threads must not run backward_batch at
+    once (training runs in processes)."""
     return MlpParameters(layer_dims, np.empty(_layout(layer_dims)[1]))
 
 
