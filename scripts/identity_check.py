@@ -15,16 +15,20 @@ probes on that tree and on the working tree:
   and attack and selection seed 0; the SHA-256 of metrics.csv and
   summary.csv;
 * ``train``: ``train_single_models`` at seed 3 and 6,144 steps per model;
-  the SHA-256 of both checkpoints. Where a second CPU is usable and the
-  platform can fork, this takes the two-process path (the poisoned twin
-  trains in a worker process), so the probe also holds that path to the
-  bytes of the revision's; it fails if a worker process outlives the call;
+  the SHA-256 of both checkpoints;
 * ``overprovision``: ``overprovision_power_ratio`` on
   ``overprovision_study_scenario(paper.cfg)`` at M = 10 and 12; the value;
 * ``checkpoint-io``: every checkpoint in the working tree's perfbench/inputs
   (the two single models with ``load_checkpoint``/``save_checkpoint``, the
   ensemble with ``load_ensemble``/``save_ensemble``) loaded and saved again;
   the SHA-256 of every written file.
+
+Where a second CPU is usable and the platform can fork, the first three
+probes take the two-process paths: ``run_scenario`` runs the second half of
+its seeds in a worker process (10 of compare's 20 seeds; 3 of sweep's 5, an
+odd split), and the poisoned twin trains in one. So they also hold those
+paths to the bytes of the revision's, and each fails if a worker process
+outlives the call.
 
 Each probe runs in a fresh interpreter that imports slice_arena from that
 tree's src/ only. The probes run one after another and each is waited for,
@@ -55,6 +59,11 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def no_worker_left(call: str) -> None:
+    if multiprocessing.active_children():
+        raise RuntimeError(f"a worker process outlived {call}")
+
+
 def probe(name: str, tree: Path, scratch: Path) -> dict:
     """Run one probe in this interpreter on slice_arena from tree/src."""
     src = (tree / "src").resolve()
@@ -66,19 +75,20 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
     if name == "compare":
         results = sa.compare(config, artifacts=INPUTS,
                              attack=sa.AttackConfig(seed=0), selection_seed=0)
+        no_worker_left("compare")
         paths = sa.write_results(results, scratch / "compare", config)
         return {f"compare/{Path(p).name}": sha256(Path(p)) for p in paths}
     if name == "sweep":
         swept = dataclasses.replace(config, arrival_sweep=(2.0, 6.0))
         points = sa.sweep(swept, seeds=config.seeds[:5], artifacts=INPUTS,
                           attack=sa.AttackConfig(seed=0), selection_seed=0)
+        no_worker_left("sweep")
         paths = sa.write_results([p.result for p in points], scratch / "sweep", swept)
         return {f"sweep/{Path(p).name}": sha256(Path(p)) for p in paths}
     if name == "train":
         paths = sa.train_single_models(config, scratch / "train", seed=3,
                                        total_env_steps=6_144)
-        if multiprocessing.active_children():
-            raise RuntimeError("a training worker outlived train_single_models")
+        no_worker_left("train_single_models")
         return {f"train/{Path(p).name}": sha256(Path(p)) for p in paths}
     if name == "checkpoint-io":
         out = scratch / "checkpoint-io"

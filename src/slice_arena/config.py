@@ -41,6 +41,10 @@ class ConfigParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
+        self.message = message
+
+    def __reduce__(self):  # rebuilt from its own arguments, not from args
+        return type(self), (self.path, self.line, self.message)
 
 
 class ConfigValidationError(ValueError):
@@ -49,6 +53,10 @@ class ConfigValidationError(ValueError):
     def __init__(self, field_name: str, message: str) -> None:
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+        self.message = message
+
+    def __reduce__(self):  # rebuilt from its own arguments, not from args
+        return type(self), (self.field_name, self.message)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,9 @@ class MemberQualityError(RuntimeError):
             f"member {member_index} admission rate {admission:.4f} below the "
             f"quality floor {floor:.4f}")
 
+    def __reduce__(self):  # rebuilt from its own arguments, not from args
+        return type(self), (self.member_index, self.admission, self.floor)
+
 
 class EnsembleManifestError(ValueError):
     """Ensemble manifest file malformed or inconsistent."""
@@ -194,18 +197,21 @@ def evaluate_policy(params: MlpParameters, scenario: ScenarioConfig,
 
 def evaluate_under_attack(spec: EnsembleSpec, scenario: ScenarioConfig,
                           attack: AttackConfig, seeds: Sequence[int],
-                          name: str = "ppo-mtd",
+                          name: str = "ppo-mtd", first_episode: int = 0,
                           ) -> Tuple[RunMetrics, List[EpisodeRecord]]:
     """Serve the ensemble under the adversary: per slot one member is drawn
     and acts greedily on the (possibly forged) observation.
 
     One episode runs per seed. The per-slot member map is keyed by a global
     slot counter so longer evaluations extend, not repeat, the serving
-    schedule.
+    schedule. The episode of seeds[i] is episode first_episode + i of that
+    schedule, so a run split into parts serves each part as the whole run
+    would.
     """
     spec.validate()
+    offset = first_episode * scenario.horizon
     return _greedy_lockstep(spec.parameters, scenario, seeds, attack, name,
-                            serve=lambda slot: select_model(spec, slot))
+                            serve=lambda slot: select_model(spec, offset + slot))
 
 
 def train_ensemble(scenario: ScenarioConfig, member_configs: Sequence[PpoConfig],

@@ -15,13 +15,17 @@ attributable to the policy alone. Training artifacts live in a directory
 managed here: ``model.ckpt`` (clean), ``attacked_model.ckpt`` (poisoned
 training), and ``ensemble/`` (manifest plus member checkpoints).
 
-``train_single_models`` uses a second core when one is free: the poisoned
-twin trains in a forked worker process beside the clean model, with the
-same checkpoint bytes as training the two one after the other.
+Training and evaluation use a second core when one is free.
+``train_single_models`` trains the poisoned twin in a forked worker process
+beside the clean model. ``run_scenario``, and so ``compare`` and ``sweep``,
+runs the second half of its seeds in a forked worker while this process runs
+the first half. Either way the checkpoints, records and CSVs are the same
+bytes as running everything in one process.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -61,7 +65,7 @@ class ScenarioResult:
     records: List[EpisodeRecord]
 
 
-# ----------------------------------------------------------------- training
+# ---------------------------------------------------------- worker processes
 
 def _usable_cpus() -> int:
     try:
@@ -69,6 +73,77 @@ def _usable_cpus() -> int:
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
+
+def _can_fork() -> bool:
+    """Whether a job can run in a forked worker beside this process: two
+    CPUs are usable, the platform can fork, and this process is not
+    daemonic (daemonic processes may not have children)."""
+    if _usable_cpus() < 2:
+        return False
+    # imported here, so that processes that never fork do not pay for it
+    import multiprocessing
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker process."""
+
+
+def _serve(sender, job) -> None:
+    """A forked worker's body: run job() and send back (None, its result),
+    or the exception it raised with its traceback text."""
+    import traceback
+    with sender:
+        try:
+            result = job()
+        except BaseException as exc:
+            sender.send((exc, traceback.format_exc()))
+        else:
+            sender.send((None, result))
+
+
+def _beside(job, own, what: str):
+    """Run job() in one forked worker process while this process runs own();
+    returns (own(), job()). Call only when _can_fork() holds.
+
+    An exception from job() is raised here as itself, with the worker's
+    traceback as its cause; one from own() stops the worker. The worker's
+    answer is received before the worker is joined, so a large answer cannot
+    fill the pipe and block both, and the worker is joined on every path.
+    what names the job in the error raised when the worker dies unanswered.
+    """
+    import multiprocessing
+    # fork, not spawn: the worker starts with every module already loaded
+    # (a spawned one would import numpy and this package again on every
+    # call) and needs no pickled job, and no thread is started here before
+    # the fork
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    with receiver:
+        worker = context.Process(target=_serve, args=(sender, job))
+        worker.start()
+        sender.close()
+        try:
+            mine = own()
+            try:
+                error, answer = receiver.recv()
+            except EOFError:  # the worker died without answering
+                worker.join()
+                error = RuntimeError(f"the worker {what} died with exit code "
+                                     f"{worker.exitcode}")
+                answer = "the worker sent no traceback"
+        except BaseException:
+            worker.terminate()  # stop the worker, so the error surfaces now
+            raise
+        finally:
+            worker.join()
+    if error is not None:
+        raise error from _WorkerTraceback(answer)
+    return mine, answer
+
+
+# ----------------------------------------------------------------- training
 
 def _train_and_save(scenario: ScenarioConfig, config: PpoConfig,
                     attack: Optional[AttackConfig], path: Path) -> None:
@@ -79,23 +154,6 @@ def _train_and_save(scenario: ScenarioConfig, config: PpoConfig,
         return env if attack is None else PoisonedEnv(env, attack)
 
     save_checkpoint(train(make_env, config).params, str(path))
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of an exception raised in a training worker."""
-
-
-def _worker(sender, *job) -> None:
-    """A forked worker's body: run one job and send back None, or the
-    exception it raised with its traceback text."""
-    import traceback
-    with sender:
-        try:
-            _train_and_save(*job)
-        except BaseException as exc:
-            sender.send((exc, traceback.format_exc()))
-        else:
-            sender.send(None)
 
 
 def train_single_models(scenario: ScenarioConfig, artifacts,
@@ -116,41 +174,15 @@ def train_single_models(scenario: ScenarioConfig, artifacts,
     attack = attack if attack is not None else AttackConfig(seed=seed)
     config = PpoConfig(seed=seed, total_env_steps=total_env_steps)
     clean_path, attacked_path = out / MODEL_CHECKPOINT, out / ATTACKED_CHECKPOINT
-    clean = (scenario, config, None, clean_path)
-    twin = (scenario, config, attack, attacked_path)
-
-    # imported here, so that processes that never train do not pay for it
-    import multiprocessing
-    if _usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        _train_and_save(*clean)
-        _train_and_save(*twin)
-        return clean_path, attacked_path
-
-    # fork, not spawn: the worker starts with every module already loaded
-    # (a spawned one would import numpy and this package again on every
-    # call), and no thread is started here before the fork
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    with receiver:
-        worker = context.Process(target=_worker, args=(sender, *twin))
-        worker.start()
-        sender.close()
-        try:
-            _train_and_save(*clean)
-            outcome = receiver.recv()
-        except EOFError:  # the worker died without answering
-            worker.join()
-            outcome = (RuntimeError(f"the worker training {attacked_path} "
-                                    f"died with exit code {worker.exitcode}"),
-                       "the worker sent no traceback")
-        except BaseException:
-            worker.terminate()  # stop the twin, so the error surfaces now
-            raise
-        finally:
-            worker.join()
-    if outcome is not None:
-        error, text = outcome
-        raise error from _WorkerTraceback(text)
+    clean = functools.partial(_train_and_save, scenario, config, None,
+                              clean_path)
+    twin = functools.partial(_train_and_save, scenario, config, attack,
+                             attacked_path)
+    if _can_fork():
+        _beside(twin, clean, f"training {attacked_path}")
+    else:
+        clean()
+        twin()
     return clean_path, attacked_path
 
 
@@ -229,37 +261,82 @@ def run_optimal(scenario: ScenarioConfig, seeds: Sequence[int],
 
 # -------------------------------------------------------------- the scenarios
 
+def _load_inputs(name: str, artifacts, selection_seed: int):
+    """What scenario name reads from artifacts: the parameters of its
+    checkpoint, the ensemble for ppo-mtd, or None for a policy-free one."""
+    if name not in SCENARIO_NAMES:
+        raise ValueError(f"unknown scenario {name!r}; expected one of "
+                         f"{', '.join(SCENARIO_NAMES)}")
+    if name == "ppo-clean":
+        return _load_model(artifacts, MODEL_CHECKPOINT)
+    if name == "ppo-attacked":
+        return _load_model(artifacts, ATTACKED_CHECKPOINT)
+    if name == "ppo-mtd":
+        return _load_defense(artifacts, selection_seed)
+    return None
+
+
+def _episodes(name: str, config: ScenarioConfig, seeds: Tuple[int, ...],
+              first_episode: int, attack: AttackConfig, label: str,
+              loaded) -> List[EpisodeRecord]:
+    """The records of one scenario's episodes on seeds, which are episodes
+    first_episode, first_episode + 1, ... of the whole run."""
+    if name == "random":
+        return run_random(config, seeds, label)
+    if name == "optimal":
+        return run_optimal(config, seeds, label)
+    if name == "ppo-clean":
+        return evaluate_policy(loaded, config, seeds, name=label)[1]
+    if name == "ppo-attacked":
+        return evaluate_policy(loaded, config, seeds, attack=attack,
+                               name=label)[1]
+    return evaluate_under_attack(loaded, config, attack, seeds=seeds,
+                                 name=label, first_episode=first_episode)[1]
+
+
+def _run_loaded(name: str, config: ScenarioConfig,
+                seeds: Optional[Sequence[int]], attack: Optional[AttackConfig],
+                label: Optional[str], loaded) -> ScenarioResult:
+    """run_scenario on inputs that _load_inputs already read.
+
+    Every random stream of an episode is keyed by its seed (and ppo-mtd's
+    member schedule by its index in the run), so with two or more seeds a
+    forked worker runs the second half of them while this process runs the
+    first, and the records are those of one process running them all.
+    """
+    seeds = tuple(int(s) for s in (config.seeds if seeds is None else seeds))
+    run = functools.partial(
+        _episodes, name, config,
+        attack=attack if attack is not None else AttackConfig(),
+        label=name if label is None else label, loaded=loaded)
+    if len(seeds) >= 2 and _can_fork():
+        half = len(seeds) // 2
+        records, rest = _beside(
+            functools.partial(run, seeds[half:], half),
+            functools.partial(run, seeds[:half], 0),
+            f"running {name} on seeds {seeds[half:]}")
+        records += rest
+    else:
+        records = run(seeds, 0)
+    return ScenarioResult(name=name, aggregate=aggregate(records, config),
+                          records=records)
+
+
 def run_scenario(name: str, config: ScenarioConfig,
                  seeds: Optional[Sequence[int]] = None, artifacts=None,
                  attack: Optional[AttackConfig] = None,
                  selection_seed: int = 0,
                  label: Optional[str] = None) -> ScenarioResult:
-    """Execute one named scenario end-to-end and aggregate its metrics."""
-    if name not in SCENARIO_NAMES:
-        raise ValueError(f"unknown scenario {name!r}; expected one of "
-                         f"{', '.join(SCENARIO_NAMES)}")
-    seeds = tuple(int(s) for s in (config.seeds if seeds is None else seeds))
-    label = name if label is None else label
-    attack = attack if attack is not None else AttackConfig()
+    """Execute one named scenario end-to-end and aggregate its metrics.
 
-    if name == "random":
-        records = run_random(config, seeds, label)
-    elif name == "optimal":
-        records = run_optimal(config, seeds, label)
-    elif name == "ppo-clean":
-        params = _load_model(artifacts, MODEL_CHECKPOINT)
-        _, records = evaluate_policy(params, config, seeds, name=label)
-    elif name == "ppo-attacked":
-        params = _load_model(artifacts, ATTACKED_CHECKPOINT)
-        _, records = evaluate_policy(params, config, seeds, attack=attack,
-                                     name=label)
-    else:  # ppo-mtd
-        spec = _load_defense(artifacts, selection_seed)
-        _, records = evaluate_under_attack(spec, config, attack, seeds=seeds,
-                                           name=label)
-
-    return ScenarioResult(name=name, aggregate=aggregate(records, config),
-                          records=records)
+    Checkpoints load here, before any fork. When a second CPU is usable, the
+    platform can fork and there are two or more seeds, a forked worker runs
+    the second half of the seeds beside this process; the records are the
+    same either way. An exception from either half is raised here as
+    itself, and no worker outlives the call.
+    """
+    loaded = _load_inputs(name, artifacts, selection_seed)
+    return _run_loaded(name, config, seeds, attack, label, loaded)
 
 
 def with_arrival_mean(config: ScenarioConfig, arrival_mean: float,
@@ -282,20 +359,20 @@ def sweep(config: ScenarioConfig, scenarios: Sequence[str] = SCENARIO_NAMES,
           attack: Optional[AttackConfig] = None,
           selection_seed: int = 0) -> List[SweepPoint]:
     """Rerun scenarios across the arrival means of config.arrival_sweep,
-    reusing trained checkpoints.
+    reusing trained checkpoints: each is read once, before the first point.
 
     Every scenario at one arrival value replays the same seeds. Records are
     labeled ``name@a<arrival>`` so the summary carries one row per
     (scenario, arrival) pair.
     """
+    loaded = {name: _load_inputs(name, artifacts, selection_seed)
+              for name in scenarios}
     points = []
     for arrival in config.arrival_sweep:
         point_config = with_arrival_mean(config, arrival)
         for name in scenarios:
-            label = f"{name}@a{arrival:g}"
-            result = run_scenario(name, point_config, seeds=seeds,
-                                  artifacts=artifacts, attack=attack,
-                                  selection_seed=selection_seed, label=label)
+            result = _run_loaded(name, point_config, seeds, attack,
+                                 f"{name}@a{arrival:g}", loaded[name])
             points.append(SweepPoint(scenario=name,
                                      arrival_mean=float(arrival),
                                      result=result))
@@ -306,9 +383,11 @@ def compare(config: ScenarioConfig, artifacts,
             seeds: Optional[Sequence[int]] = None,
             attack: Optional[AttackConfig] = None,
             selection_seed: int = 0) -> List[ScenarioResult]:
-    """All five scenarios on identical seeds, in canonical order."""
-    return [run_scenario(name, config, seeds=seeds, artifacts=artifacts,
-                         attack=attack, selection_seed=selection_seed)
+    """All five scenarios on identical seeds, in canonical order; each
+    checkpoint is read once, before the first scenario runs."""
+    loaded = {name: _load_inputs(name, artifacts, selection_seed)
+              for name in SCENARIO_NAMES}
+    return [_run_loaded(name, config, seeds, attack, None, loaded[name])
             for name in SCENARIO_NAMES]
 
 

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from slice_arena import harness, ppo
+from slice_arena import ensemble, harness, ppo
 from slice_arena.adversary import AttackConfig, PoisonedEnv
+from slice_arena.config import ConfigValidationError
 from slice_arena.env import SliceEnv
 from slice_arena.policy import save_checkpoint
 from slice_arena.harness import (ATTACKED_CHECKPOINT, MODEL_CHECKPOINT,
@@ -133,6 +134,103 @@ class TestTrainSingleModels:
             train_single_models(small_cfg, tmp_path, total_env_steps=2048)
         assert time.perf_counter() - start < 30
         assert multiprocessing.active_children() == []
+
+
+class TestSplitEpisodes:
+    """run_scenario on two processes: a forked worker runs the second half
+    of the seeds."""
+
+    @pytest.fixture
+    def forks(self, two_cpus, monkeypatch):
+        """The number of jobs run beside this process."""
+        calls = []
+        beside = harness._beside
+
+        def counting(job, own, what):
+            calls.append(what)
+            return beside(job, own, what)
+
+        monkeypatch.setattr(harness, "_beside", counting)
+        return calls
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_records_match_one_process(self, small_cfg, artifacts, forks,
+                                       monkeypatch, name, count):
+        seeds = tuple(range(21, 21 + count))
+        attack = AttackConfig(attack_probability=0.25, seed=5)
+        split = run_scenario(name, small_cfg, seeds=seeds, artifacts=artifacts,
+                             attack=attack, selection_seed=3)
+        assert multiprocessing.active_children() == []
+        assert len(forks) == (count >= 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        serial = run_scenario(name, small_cfg, seeds=seeds, artifacts=artifacts,
+                              attack=attack, selection_seed=3)
+        assert len(forks) == (count >= 2)
+        assert [r.seed for r in split.records] == list(seeds)
+        for a, b in zip(split.records, serial.records, strict=True):
+            assert a.slot_log == b.slot_log
+            assert a.member_by_slot == b.member_by_slot
+            assert a.attacked_by_slot == b.attacked_by_slot
+            assert a == b
+        assert split.aggregate == serial.aggregate
+
+    @pytest.mark.parametrize("error", [JobFailed("worker half failed"),
+                                       ConfigValidationError("kappa", "bad")])
+    def test_worker_error_keeps_its_type(self, small_cfg, forks, monkeypatch,
+                                         error):
+        parent, run_random = os.getpid(), harness.run_random
+
+        def failing(config, seeds, label):
+            if os.getpid() != parent:
+                raise error
+            return run_random(config, seeds, label)
+
+        monkeypatch.setattr(harness, "run_random", failing)
+        with pytest.raises(type(error), match=str(error)) as raised:
+            run_scenario("random", small_cfg, seeds=SEEDS)
+        assert isinstance(raised.value.__cause__, harness._WorkerTraceback)
+        assert forks and multiprocessing.active_children() == []
+
+    def test_caller_error_stops_the_worker(self, small_cfg, forks,
+                                           monkeypatch):
+        parent = os.getpid()
+
+        def failing(config, seeds, label):
+            if os.getpid() == parent:
+                raise JobFailed("caller half failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "run_random", failing)
+        start = time.perf_counter()
+        with pytest.raises(JobFailed, match="caller half failed"):
+            run_scenario("random", small_cfg, seeds=SEEDS)
+        assert time.perf_counter() - start < 30
+        assert forks and multiprocessing.active_children() == []
+
+    def test_daemonic_caller_runs_serially(self, small_cfg, forks):
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+
+        def caller():
+            try:
+                result = run_scenario("random", small_cfg, seeds=SEEDS)
+                sender.send((forks, result.records))
+            except BaseException as exc:
+                sender.send((forks, exc))
+
+        daemon = context.Process(target=caller, daemon=True)
+        daemon.start()
+        sender.close()
+        with receiver:
+            assert receiver.poll(120), "the daemonic caller sent nothing"
+            started, records = receiver.recv()
+        daemon.join(60)
+        assert not daemon.is_alive()
+        if isinstance(records, BaseException):
+            raise records
+        assert started == []
+        assert records == harness.run_random(small_cfg, SEEDS, "random")
 
 
 class TestPolicyFreeScenarios:
@@ -320,6 +418,45 @@ class TestSweep:
     def test_invalid_arrival_rejected(self, small_cfg):
         with pytest.raises(ValueError):
             with_arrival_mean(small_cfg, -1.0)
+
+
+class TestCheckpointLoads:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The paths every load_checkpoint call of harness and ensemble read."""
+        paths = []
+
+        def counting(load):
+            def load_recorded(path):
+                paths.append(path)
+                return load(path)
+            return load_recorded
+
+        for module in (harness, ensemble):
+            monkeypatch.setattr(module, "load_checkpoint",
+                                counting(module.load_checkpoint))
+        return paths
+
+    @pytest.mark.parametrize("call", ["sweep", "compare"])
+    def test_each_checkpoint_read_once(self, small_cfg, artifacts, loads,
+                                       call):
+        config = dataclasses.replace(small_cfg, arrival_sweep=(2.0, 4.0, 6.0))
+        if call == "sweep":
+            runs = len(sweep(config, seeds=SEEDS[:2], artifacts=artifacts))
+        else:
+            runs = len(compare(config, artifacts, seeds=SEEDS[:2]))
+        assert runs == (3 if call == "sweep" else 1) * len(SCENARIO_NAMES)
+        # the clean model, its twin and the four ensemble members
+        assert len(loads) == len(set(loads)) == 6
+
+    def test_sweep_rejects_unknown_scenario_before_running(self, small_cfg,
+                                                           monkeypatch):
+        def never(*args):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(harness, "run_random", never)
+        with pytest.raises(ValueError, match="unknown scenario"):
+            sweep(small_cfg, scenarios=("random", "greedy"), seeds=SEEDS)
 
 
 class TestCompare:

@@ -39,9 +39,11 @@ def test_traced_evaluation_counts_steps(paper_cfg):
     assert tracer.calls["metrics.aggregate"] == 1
 
 
-def test_traced_baselines_count_every_decision(paper_cfg):
+def test_traced_baselines_count_every_decision(paper_cfg, monkeypatch):
     # the runners must look the baselines up when they run, not bind them
-    # at import (say, as a default argument), or the tracer never sees a call
+    # at import (say, as a default argument), or the tracer never sees a call;
+    # on one process, since a forked worker's calls are not counted here
+    monkeypatch.setattr(slice_arena.harness, "_usable_cpus", lambda: 1)
     config = dataclasses.replace(paper_cfg, horizon=20)
     with tracing.Tracer(slice_arena) as tracer:
         random = slice_arena.run_scenario("random", config, seeds=(1, 2))
