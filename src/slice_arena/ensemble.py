@@ -14,11 +14,11 @@ serving schedule is reproducible and independent of every environment
 stream. The ensemble round-trips through a plain-text manifest next to one
 checkpoint file per member.
 
-Greedy evaluation runs one episode per caller-given seed, all of them
-through env.run_episodes, with one batched actor-only forward
-(policy.forward_actor) per serving member per lockstep step; a single
-policy is a one-member ensemble. Every environment keeps its own seeded
-streams, so the records are those of running the seeds one after another.
+Greedy evaluation runs one episode per caller-given seed, all through
+env.run_episodes, with one batched actor-only forward (policy.forward_actor)
+per serving member per lockstep step; a single policy is a one-member
+ensemble. It returns the records, unaggregated; every environment keeps its
+own seeded streams, so they are those of running the seeds one by one.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 from .adversary import AttackConfig, PoisonedEnv
 from .config import ScenarioConfig
 from .env import SliceEnv, run_episodes
-from .metrics import EpisodeRecord, RunMetrics, aggregate
+from .metrics import EpisodeRecord, aggregate
 # policy_forward stays importable here: the per-layer tracer wraps it
 from .policy import (MlpParameters, forward_actor, load_checkpoint,
                      policy_forward, save_checkpoint)
@@ -146,11 +146,11 @@ def select_model(spec: EnsembleSpec, slot_index: int) -> int:
 def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
                      seeds: Sequence[int], attack: Optional[AttackConfig],
                      name: str, serve: Optional[Callable[[int], int]] = None,
-                     ) -> Tuple[RunMetrics, List[EpisodeRecord]]:
-    """Greedy episodes of all seeds in lockstep. serve maps a global slot
-    index (episode index * horizon + slot) to the member deciding it, and
-    the records carry model_index -1 and a member map; without it member 0
-    decides every slot and is the records' model_index."""
+                     ) -> List[EpisodeRecord]:
+    """The records of greedy episodes of all seeds in lockstep. serve maps
+    a global slot index (episode index * horizon + slot) to the member
+    deciding it, and the records carry model_index -1 and a member map;
+    without it member 0 decides every slot and is the records' model_index."""
     envs = [SliceEnv(scenario) for _ in seeds]
     wrapped = [PoisonedEnv(env, attack) if attack is not None else env
                for env in envs]
@@ -174,22 +174,21 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
         return [actions[i] for i in live]
 
     run_episodes(wrapped, seeds, decide)
-    records = [EpisodeRecord(
+    return [EpisodeRecord(
         scenario=name, seed=int(seed), slot_log=list(env.slot_log),
         model_index=0 if serve is None else -1,
         member_by_slot=member_map if serve is not None else None,
         attacked_by_slot=dict(w.attacked_by_slot) if attack is not None else {})
         for seed, env, w, member_map in zip(seeds, envs, wrapped, member_maps)]
-    return aggregate(records, scenario), records
 
 
 def evaluate_policy(params: MlpParameters, scenario: ScenarioConfig,
                     seeds: Sequence[int], attack: Optional[AttackConfig] = None,
-                    name: str = "eval",
-                    ) -> Tuple[RunMetrics, List[EpisodeRecord]]:
-    """Greedy episodes of one policy, one per seed; optionally under attack.
+                    name: str = "eval") -> List[EpisodeRecord]:
+    """The records of one greedy episode of params per seed, attacked when
+    attack is given.
 
-    Metrics always come from the true environment; the adversary only
+    The records always come from the true environment; the adversary only
     corrupts what the policy sees.
     """
     return _greedy_lockstep([params], scenario, seeds, attack, name)
@@ -198,9 +197,10 @@ def evaluate_policy(params: MlpParameters, scenario: ScenarioConfig,
 def evaluate_under_attack(spec: EnsembleSpec, scenario: ScenarioConfig,
                           attack: AttackConfig, seeds: Sequence[int],
                           name: str = "ppo-mtd", first_episode: int = 0,
-                          ) -> Tuple[RunMetrics, List[EpisodeRecord]]:
-    """Serve the ensemble under the adversary: per slot one member is drawn
-    and acts greedily on the (possibly forged) observation.
+                          ) -> List[EpisodeRecord]:
+    """Serve the ensemble under the adversary and return the records: per
+    slot one member is drawn and acts greedily on the (possibly forged)
+    observation.
 
     One episode runs per seed. The per-slot member map is keyed by a global
     slot counter so longer evaluations extend, not repeat, the serving
@@ -247,7 +247,8 @@ def train_ensemble(scenario: ScenarioConfig, member_configs: Sequence[PpoConfig]
         else:
             result = train(lambda: SliceEnv(scenario), config)
             poisoned = 0
-        metrics, _ = evaluate_policy(result.params, scenario, gate_seeds)
+        metrics = aggregate(evaluate_policy(result.params, scenario,
+                                            gate_seeds), scenario)
         return result.params, poisoned, metrics.admission_rate
 
     parameters: List[MlpParameters] = []

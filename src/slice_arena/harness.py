@@ -15,12 +15,12 @@ attributable to the policy alone. Training artifacts live in a directory
 managed here: ``model.ckpt`` (clean), ``attacked_model.ckpt`` (poisoned
 training), and ``ensemble/`` (manifest plus member checkpoints).
 
-Training and evaluation use a second core when one is free.
-``train_single_models`` trains the poisoned twin in a forked worker process
-beside the clean model. ``run_scenario``, and so ``compare`` and ``sweep``,
-runs the second half of its seeds in a forked worker while this process runs
-the first half. Either way the checkpoints, records and CSVs are the same
-bytes as running everything in one process.
+One dispatch, ``_runners``, reads what each named scenario needs once and
+returns its runner; ``run_scenario``, ``compare`` and ``sweep`` aggregate
+each run's records once. When a second core is free, the poisoned twin
+trains in a forked worker beside the clean model, and a run's second half
+of seeds runs in one; the checkpoints, records and CSVs are the same bytes
+as in one process.
 """
 from __future__ import annotations
 
@@ -30,14 +30,14 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adversary import AttackConfig, PoisonedEnv
 from .baselines import myopic_exhaustive_decision, random_policy_decision
 from .config import ScenarioConfig
-from .ensemble import (EnsembleSpec, default_member_configs, evaluate_policy,
+from .ensemble import (default_member_configs, evaluate_policy,
                        evaluate_under_attack, load_ensemble, save_ensemble,
                        train_ensemble)
 from .env import SliceEnv, run_episodes
@@ -200,25 +200,16 @@ def train_defense_ensemble(scenario: ScenarioConfig, artifacts,
     return save_ensemble(spec, Path(artifacts) / ENSEMBLE_DIRNAME)
 
 
-def _load_model(artifacts, filename: str):
+def _artifact(artifacts, relative: str, command: str) -> str:
+    """artifacts/relative, which command writes; it must exist."""
     if artifacts is None:
         raise MissingCheckpointError(
-            f"scenario needs {filename} but no artifacts directory was given")
-    path = Path(artifacts) / filename
+            f"scenario needs {relative} but no artifacts directory was given")
+    path = Path(artifacts) / relative
     if not path.is_file():
-        raise MissingCheckpointError(f"no checkpoint at {path}; train first")
-    return load_checkpoint(str(path))
-
-
-def _load_defense(artifacts, selection_seed: int) -> EnsembleSpec:
-    if artifacts is None:
         raise MissingCheckpointError(
-            "ppo-mtd needs an ensemble but no artifacts directory was given")
-    directory = Path(artifacts) / ENSEMBLE_DIRNAME
-    if not (directory / "manifest.txt").is_file():
-        raise MissingCheckpointError(
-            f"no ensemble manifest under {directory}; train-ensemble first")
-    return load_ensemble(directory, selection_seed=selection_seed)
+            f"no trained artifact at {path}; {command} first")
+    return str(path)
 
 
 # ------------------------------------------------------------ policy-free runs
@@ -261,54 +252,64 @@ def run_optimal(scenario: ScenarioConfig, seeds: Sequence[int],
 
 # -------------------------------------------------------------- the scenarios
 
-def _load_inputs(name: str, artifacts, selection_seed: int):
-    """What scenario name reads from artifacts: the parameters of its
-    checkpoint, the ensemble for ppo-mtd, or None for a policy-free one."""
-    if name not in SCENARIO_NAMES:
-        raise ValueError(f"unknown scenario {name!r}; expected one of "
-                         f"{', '.join(SCENARIO_NAMES)}")
-    if name == "ppo-clean":
-        return _load_model(artifacts, MODEL_CHECKPOINT)
-    if name == "ppo-attacked":
-        return _load_model(artifacts, ATTACKED_CHECKPOINT)
-    if name == "ppo-mtd":
-        return _load_defense(artifacts, selection_seed)
-    return None
-
-
-def _episodes(name: str, config: ScenarioConfig, seeds: Tuple[int, ...],
-              first_episode: int, attack: AttackConfig, label: str,
-              loaded) -> List[EpisodeRecord]:
-    """The records of one scenario's episodes on seeds, which are episodes
-    first_episode, first_episode + 1, ... of the whole run."""
+def _runner(name: str, artifacts, selection_seed: int) -> Callable:
+    """How scenario name runs, with the checkpoint or ensemble it needs read
+    now. The runner looks its evaluator up in this module when it runs."""
     if name == "random":
-        return run_random(config, seeds, label)
-    if name == "optimal":
-        return run_optimal(config, seeds, label)
-    if name == "ppo-clean":
-        return evaluate_policy(loaded, config, seeds, name=label)[1]
-    if name == "ppo-attacked":
-        return evaluate_policy(loaded, config, seeds, attack=attack,
-                               name=label)[1]
-    return evaluate_under_attack(loaded, config, attack, seeds=seeds,
-                                 name=label, first_episode=first_episode)[1]
+        def run(config, seeds, first_episode, attack, label):
+            return run_random(config, seeds, label)
+    elif name == "optimal":
+        def run(config, seeds, first_episode, attack, label):
+            return run_optimal(config, seeds, label)
+    elif name == "ppo-clean":
+        clean = load_checkpoint(_artifact(artifacts, MODEL_CHECKPOINT, "train"))
+
+        def run(config, seeds, first_episode, attack, label):
+            return evaluate_policy(clean, config, seeds, name=label)
+    elif name == "ppo-attacked":
+        twin = load_checkpoint(
+            _artifact(artifacts, ATTACKED_CHECKPOINT, "train"))
+
+        def run(config, seeds, first_episode, attack, label):
+            return evaluate_policy(twin, config, seeds, attack, label)
+    else:  # ppo-mtd
+        manifest = _artifact(artifacts, f"{ENSEMBLE_DIRNAME}/manifest.txt",
+                             "train-ensemble")
+        spec = load_ensemble(manifest, selection_seed=selection_seed)
+
+        def run(config, seeds, first_episode, attack, label):
+            return evaluate_under_attack(spec, config, attack, seeds, label,
+                                         first_episode)
+    return run
 
 
-def _run_loaded(name: str, config: ScenarioConfig,
+def _runners(names: Sequence[str], artifacts,
+             selection_seed: int) -> Dict[str, Callable]:
+    """One runner per scenario name: runner(config, seeds, first_episode,
+    attack, label) returns the records of seeds, episodes first_episode,
+    first_episode + 1, ... of the run. Every name is checked before each
+    checkpoint or ensemble is read, once, here, before any fork."""
+    if not names:
+        raise ValueError(f"no scenario given; expected one or more of "
+                         f"{', '.join(SCENARIO_NAMES)}")
+    for name in names:
+        if name not in SCENARIO_NAMES:
+            raise ValueError(f"unknown scenario {name!r}; expected one of "
+                             f"{', '.join(SCENARIO_NAMES)}")
+    return {name: _runner(name, artifacts, selection_seed)
+            for name in dict.fromkeys(names)}
+
+
+def _run_loaded(name: str, runner: Callable, config: ScenarioConfig,
                 seeds: Optional[Sequence[int]], attack: Optional[AttackConfig],
-                label: Optional[str], loaded) -> ScenarioResult:
-    """run_scenario on inputs that _load_inputs already read.
-
-    Every random stream of an episode is keyed by its seed (and ppo-mtd's
-    member schedule by its index in the run), so with two or more seeds a
-    forked worker runs the second half of them while this process runs the
-    first, and the records are those of one process running them all.
-    """
+                label: Optional[str]) -> ScenarioResult:
+    """run_scenario with its runner made: run it on seeds, on two
+    processes when it can, and aggregate the records once."""
     seeds = tuple(int(s) for s in (config.seeds if seeds is None else seeds))
     run = functools.partial(
-        _episodes, name, config,
+        runner, config,
         attack=attack if attack is not None else AttackConfig(),
-        label=name if label is None else label, loaded=loaded)
+        label=name if label is None else label)
     if len(seeds) >= 2 and _can_fork():
         half = len(seeds) // 2
         records, rest = _beside(
@@ -331,12 +332,13 @@ def run_scenario(name: str, config: ScenarioConfig,
 
     Checkpoints load here, before any fork. When a second CPU is usable, the
     platform can fork and there are two or more seeds, a forked worker runs
-    the second half of the seeds beside this process; the records are the
+    the second half of the seeds beside this process. An episode's streams
+    are keyed by its seed and its index in the run, so the records are the
     same either way. An exception from either half is raised here as
     itself, and no worker outlives the call.
     """
-    loaded = _load_inputs(name, artifacts, selection_seed)
-    return _run_loaded(name, config, seeds, attack, label, loaded)
+    runner = _runners((name,), artifacts, selection_seed)[name]
+    return _run_loaded(name, runner, config, seeds, attack, label)
 
 
 def with_arrival_mean(config: ScenarioConfig, arrival_mean: float,
@@ -360,19 +362,19 @@ def sweep(config: ScenarioConfig, scenarios: Sequence[str] = SCENARIO_NAMES,
           selection_seed: int = 0) -> List[SweepPoint]:
     """Rerun scenarios across the arrival means of config.arrival_sweep,
     reusing trained checkpoints: each is read once, before the first point.
+    An empty or unknown scenario name raises ValueError before any read.
 
     Every scenario at one arrival value replays the same seeds. Records are
     labeled ``name@a<arrival>`` so the summary carries one row per
     (scenario, arrival) pair.
     """
-    loaded = {name: _load_inputs(name, artifacts, selection_seed)
-              for name in scenarios}
+    runners = _runners(scenarios, artifacts, selection_seed)
     points = []
     for arrival in config.arrival_sweep:
         point_config = with_arrival_mean(config, arrival)
         for name in scenarios:
-            result = _run_loaded(name, point_config, seeds, attack,
-                                 f"{name}@a{arrival:g}", loaded[name])
+            result = _run_loaded(name, runners[name], point_config, seeds,
+                                 attack, f"{name}@a{arrival:g}")
             points.append(SweepPoint(scenario=name,
                                      arrival_mean=float(arrival),
                                      result=result))
@@ -385,10 +387,9 @@ def compare(config: ScenarioConfig, artifacts,
             selection_seed: int = 0) -> List[ScenarioResult]:
     """All five scenarios on identical seeds, in canonical order; each
     checkpoint is read once, before the first scenario runs."""
-    loaded = {name: _load_inputs(name, artifacts, selection_seed)
-              for name in SCENARIO_NAMES}
-    return [_run_loaded(name, config, seeds, attack, None, loaded[name])
-            for name in SCENARIO_NAMES]
+    runners = _runners(SCENARIO_NAMES, artifacts, selection_seed)
+    return [_run_loaded(name, runner, config, seeds, attack, None)
+            for name, runner in runners.items()]
 
 
 def compare_table(results: Sequence[ScenarioResult]) -> str:

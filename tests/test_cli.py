@@ -141,6 +141,14 @@ class TestTrainAndSweep:
         assert "arrival_sweep" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_sweep_rejects_empty_scenarios(self, tiny_cfg_path, tmp_path,
+                                           capsys):
+        code = main(["sweep", "--config", tiny_cfg_path, "--out", str(tmp_path),
+                     "--scenarios", ","])
+        assert code == 1
+        assert "no scenario" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_sweep_unknown_scenario(self, tiny_cfg_path, tmp_path, capsys):
         code = main(["sweep", "--config", tiny_cfg_path,
                      "--out", str(tmp_path), "--scenarios", "bogus"])

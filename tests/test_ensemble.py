@@ -11,6 +11,7 @@ from slice_arena.ensemble import (ENSEMBLE_MAGIC, EnsembleManifestError,
                                   evaluate_policy, evaluate_under_attack,
                                   load_ensemble, save_ensemble, select_model,
                                   train_ensemble)
+from slice_arena.metrics import aggregate
 from slice_arena.policy import init_parameters
 from slice_arena.ppo import PpoConfig
 
@@ -282,11 +283,12 @@ class TestEvaluation:
     def test_identical_members_match_single_model(self, tiny_scenario):
         params, spec = self.identical_member_spec(tiny_scenario)
         attack = AttackConfig(attack_probability=0.3, seed=9)
-        single, single_records = evaluate_policy(params, tiny_scenario,
-                                                 seeds=(5, 6), attack=attack,
-                                                 name="ppo-mtd")
-        mtd, mtd_records = evaluate_under_attack(spec, tiny_scenario, attack,
-                                                 seeds=(5, 6))
+        single_records = evaluate_policy(params, tiny_scenario, seeds=(5, 6),
+                                         attack=attack, name="ppo-mtd")
+        mtd_records = evaluate_under_attack(spec, tiny_scenario, attack,
+                                            seeds=(5, 6))
+        single = aggregate(single_records, tiny_scenario)
+        mtd = aggregate(mtd_records, tiny_scenario)
         assert mtd == single
         for got, want in zip(mtd_records, single_records):
             assert got.attacked_by_slot == want.attacked_by_slot
@@ -295,7 +297,8 @@ class TestEvaluation:
 
     def test_clean_evaluation_reports_no_attacks(self, tiny_scenario):
         params, _ = self.identical_member_spec(tiny_scenario)
-        metrics, records = evaluate_policy(params, tiny_scenario, seeds=(3,))
+        records = evaluate_policy(params, tiny_scenario, seeds=(3,))
+        metrics = aggregate(records, tiny_scenario)
         assert metrics.attacked_fraction == 0.0
         assert records[0].attacked_by_slot == {}
         assert records[0].model_index == 0
@@ -303,8 +306,8 @@ class TestEvaluation:
     def test_member_map_uses_global_slot_offset(self, tiny_scenario):
         _, spec = self.identical_member_spec(tiny_scenario, members=4)
         attack = AttackConfig(attack_probability=0.0, seed=0)
-        _, records = evaluate_under_attack(spec, tiny_scenario, attack,
-                                           seeds=(5, 5))
+        records = evaluate_under_attack(spec, tiny_scenario, attack,
+                                        seeds=(5, 5))
         first, second = records
         assert all(0 <= s < tiny_scenario.horizon
                    for s in first.member_by_slot)
@@ -369,15 +372,15 @@ class TestLockstep:
 
     def test_clean_policy_matches_reference(self, tiny_scenario):
         params = self.varied_members(tiny_scenario, 1)[0]
-        _, records = evaluate_policy(params, tiny_scenario, self.SEEDS)
+        records = evaluate_policy(params, tiny_scenario, self.SEEDS)
         self.assert_matches(records, greedy_episodes_reference(
             [params], tiny_scenario, self.SEEDS))
 
     def test_attacked_policy_matches_reference(self, tiny_scenario):
         params = self.varied_members(tiny_scenario, 3)[2]
         attack = AttackConfig(attack_probability=0.5, seed=9)
-        _, records = evaluate_policy(params, tiny_scenario, self.SEEDS,
-                                     attack=attack)
+        records = evaluate_policy(params, tiny_scenario, self.SEEDS,
+                                  attack=attack)
         assert any(r.attacked_by_slot for r in records)
         self.assert_matches(records, greedy_episodes_reference(
             [params], tiny_scenario, self.SEEDS, attack=attack))
@@ -387,8 +390,8 @@ class TestLockstep:
         spec = EnsembleSpec(member_configs=default_member_configs(),
                             parameters=members, selection_seed=4)
         attack = AttackConfig(attack_probability=0.3, seed=2)
-        _, records = evaluate_under_attack(spec, tiny_scenario, attack,
-                                           seeds=self.SEEDS)
+        records = evaluate_under_attack(spec, tiny_scenario, attack,
+                                        seeds=self.SEEDS)
         reference = greedy_episodes_reference(
             members, tiny_scenario, self.SEEDS, attack=attack,
             serve=lambda slot: select_model(spec, slot))
@@ -399,7 +402,7 @@ class TestLockstep:
     def test_one_batched_forward_per_step(self, tiny_scenario, monkeypatch):
         params = self.varied_members(tiny_scenario, 1)[0]
         rows = self.count_forward_actor(monkeypatch)
-        _, records = evaluate_policy(params, tiny_scenario, self.SEEDS)
+        records = evaluate_policy(params, tiny_scenario, self.SEEDS)
         decisions = [sum(s.decisions for s in r.slot_log) for r in records]
         # one call per lockstep step, over the environments still live
         assert len(rows) == max(decisions)
@@ -413,8 +416,8 @@ class TestLockstep:
                             parameters=members, selection_seed=4)
         attack = AttackConfig(attack_probability=0.3, seed=2)
         rows = self.count_forward_actor(monkeypatch)
-        _, records = evaluate_under_attack(spec, tiny_scenario, attack,
-                                           seeds=self.SEEDS)
+        records = evaluate_under_attack(spec, tiny_scenario, attack,
+                                        seeds=self.SEEDS)
         # the member deciding each step of each episode, in step order
         serving = [[r.member_by_slot[s.slot] for s in r.slot_log
                     for _ in range(s.decisions)] for r in records]
@@ -471,11 +474,15 @@ class TestRetraining:
             return SimpleNamespace(params=params)
 
         def fake_evaluate(p, scenario, seeds, **kwargs):
-            return SimpleNamespace(admission_rate=queue.pop(0)), []
+            return []
+
+        def fake_aggregate(records, scenario):
+            return SimpleNamespace(admission_rate=queue.pop(0))
 
         monkeypatch.setattr("slice_arena.ensemble.train", fake_train)
         monkeypatch.setattr("slice_arena.ensemble.evaluate_policy",
                             fake_evaluate)
+        monkeypatch.setattr("slice_arena.ensemble.aggregate", fake_aggregate)
         return calls
 
     def test_failing_member_retrained_on_fresh_seed(self, tiny_scenario,

@@ -457,6 +457,34 @@ class TestCheckpointLoads:
         monkeypatch.setattr(harness, "run_random", never)
         with pytest.raises(ValueError, match="unknown scenario"):
             sweep(small_cfg, scenarios=("random", "greedy"), seeds=SEEDS)
+        # the names are checked before the first checkpoint is looked for
+        with pytest.raises(ValueError, match="unknown scenario"):
+            sweep(small_cfg, scenarios=("ppo-clean", "greedy"), seeds=SEEDS,
+                  artifacts=None)
+
+    def test_sweep_rejects_empty_scenario_list(self, small_cfg):
+        with pytest.raises(ValueError, match="no scenario"):
+            sweep(small_cfg, scenarios=(), seeds=SEEDS)
+
+
+class TestAggregates:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_one_aggregate_per_run(self, small_cfg, artifacts, monkeypatch,
+                                   name):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        calls = []
+
+        def counting(aggregate):
+            def aggregate_recorded(records, config):
+                calls.append(len(records))
+                return aggregate(records, config)
+            return aggregate_recorded
+
+        for module in (harness, ensemble):
+            monkeypatch.setattr(module, "aggregate",
+                                counting(module.aggregate))
+        run_scenario(name, small_cfg, seeds=SEEDS, artifacts=artifacts)
+        assert calls == [len(SEEDS)]
 
 
 class TestCompare:
