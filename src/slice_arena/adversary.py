@@ -73,13 +73,16 @@ class ForgeryAdversary:
         self._power_scale = power_scale(scenario)
 
     def forge_observation(self, rng) -> np.ndarray:
-        """Draw a fresh, feasible-looking observation of the true layout."""
+        """Draw a fresh, feasible-looking observation of the true layout:
+        first 3N resource uniforms in one call, then one Poisson per slice."""
         sc = self.scenario
-        values = list(np.atleast_1d(rng.uniform(size=3 * len(sc.datacenters))))
-        for s in sc.slices:
-            count = min(int(rng.poisson(s.arrival_mean)), PENDING_CAP)
-            values.append(count / PENDING_CAP)
-        return np.asarray(values, dtype=np.float64)
+        n_resources = 3 * len(sc.datacenters)
+        forged = np.empty(n_resources + len(sc.slices))
+        forged[:n_resources] = rng.uniform(size=n_resources)
+        forged[n_resources:] = [
+            min(int(rng.poisson(s.arrival_mean)), PENDING_CAP) / PENDING_CAP
+            for s in sc.slices]
+        return forged
 
     def forged_feasible(self, forged_obs: np.ndarray, dc_index: int,
                         demand_fraction: Tuple[float, float, float]) -> bool:
@@ -88,8 +91,8 @@ class ForgeryAdversary:
         The forged picture carries no chain counts, so only resources are
         checked (the cap channel is not observable to begin with).
         """
-        remaining = forged_obs[3 * dc_index:3 * dc_index + 3]
-        return bool(np.all(remaining >= np.asarray(demand_fraction) - 1e-12))
+        remaining = forged_obs[3 * dc_index:3 * dc_index + 3].tolist()
+        return all(r >= d - 1e-12 for r, d in zip(remaining, demand_fraction))
 
     def forged_reward(self, context: StepContext, forged_obs: np.ndarray) -> float:
         """The reward the forged state would have produced for this step."""
@@ -121,6 +124,11 @@ class PoisonedEnv:
     agent acts on the forged state. Metrics must be read from the wrapped
     env (its slot log is the ground truth); the wrapper only counts how
     many decisions per slot were attacked.
+
+    step reads the wrapped env's pending deque directly. When neither the
+    step just taken nor the next one is attacked, it returns the wrapped
+    env's StepOutcome itself: the agent then sees exactly what the true env
+    reported.
     """
 
     def __init__(self, env: SliceEnv, config: AttackConfig) -> None:
@@ -133,6 +141,7 @@ class PoisonedEnv:
         self._attacked_now = False
         self._forged_obs: Optional[np.ndarray] = None
         self._slot_admitted: List[float] = []
+        self._slice_by_id = {s.slice_id: s for s in env.scenario.slices}
 
     # mirrored read-only surface
     @property
@@ -166,7 +175,8 @@ class PoisonedEnv:
         agent gets to see."""
         self._attacked_now = False
         self._forged_obs = None
-        if self.env.episode_done() or not self.env.has_pending():
+        # a finished episode has nothing pending
+        if not self.env.state.pending:
             return true_obs
         if self._rng.random() < self.config.attack_probability:
             self._attacked_now = True
@@ -181,11 +191,13 @@ class PoisonedEnv:
         env = self.env
         attacked = self._attacked_now
         forged_obs = self._forged_obs
-        spec = env.current_request_slice() if env.has_pending() else None
-        slot_final = env.pending_count() == 1
+        pending = env.state.pending if env.state is not None else ()
+        spec = self._slice_by_id[pending[0]] if pending else None
+        slot_final = len(pending) == 1
 
         outcome = env.step(decision)
 
+        reward = outcome.reward
         if attacked:
             demand_fraction = None
             if decision != REJECT:
@@ -201,18 +213,19 @@ class PoisonedEnv:
                 current_priority=spec.priority,
             )
             reward = self.adversary.forged_reward(context, forged_obs)
-        else:
-            reward = outcome.reward
 
         if slot_final:
             self._slot_admitted = []
         elif outcome.admitted:
             self._slot_admitted.append(spec.priority)
 
+        observation = self._arm(outcome.observation)
+        if not (attacked or self._attacked_now):
+            return outcome
         return StepOutcome(
             reward=reward,
             admitted=outcome.admitted,
             infeasible_attempt=outcome.infeasible_attempt,
-            observation=self._arm(outcome.observation),
+            observation=observation,
             episode_done=outcome.episode_done,
         )

@@ -157,20 +157,20 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
     member_maps: List[Dict[int, int]] = [{} for _ in seeds]
 
     def decide(live, obs):
+        if serve is None:  # one group: member 0 over every live env
+            return forward_actor(members[0], np.stack(
+                [obs[i] for i in live])).argmax(axis=1).tolist()
         groups: Dict[int, List[int]] = {}
         for i in live:
-            member = 0
-            if serve is not None:
-                by_slot, slot = member_maps[i], envs[i].state.slot_index
-                if slot not in by_slot:
-                    by_slot[slot] = serve(i * scenario.horizon + slot)
-                member = by_slot[slot]
-            groups.setdefault(member, []).append(i)
+            by_slot, slot = member_maps[i], envs[i].state.slot_index
+            if slot not in by_slot:
+                by_slot[slot] = serve(i * scenario.horizon + slot)
+            groups.setdefault(by_slot[slot], []).append(i)
         actions = {}
         for member, group in groups.items():
             probs = forward_actor(members[member],
                                   np.stack([obs[i] for i in group]))
-            actions.update(zip(group, probs.argmax(axis=1)))
+            actions.update(zip(group, probs.argmax(axis=1).tolist()))
         return [actions[i] for i in live]
 
     run_episodes(wrapped, seeds, decide)

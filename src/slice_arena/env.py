@@ -28,6 +28,20 @@ slice the count of still-undecided requests this slot divided by 32, clipped
 to 1. The slice whose request is being decided is the first slice in
 scenario order with a nonzero pending entry.
 
+The env keeps that vector in place and rewrites only the entries that
+change: a DC's three fractions when a chain is admitted to it or departs
+from it, a slice's pending entry when its pending count changes. Each entry
+is the same Python-float division a from-scratch build would do, so the
+values are the same bits; observation() and StepOutcome.observation hand
+out copies. The vector follows the env's own changes only: a caller that
+rewrites state.remaining itself does not move it.
+
+When the env admits or releases a chain, it builds the DC's new remaining
+ResourceVector unchecked, without __post_init__. Its own checks make that
+safe: an admission subtracts a demand that the remaining capacity covers,
+so no component goes below zero, and a departure adds a nonnegative demand
+back. Everywhere else the checked constructor and operators run.
+
 run_episodes is the one loop that steps episodes to their end: every
 evaluation (policies, baselines, the overprovisioning study) drives its
 environments through it, keeping its own state in the decide callback.
@@ -62,6 +76,15 @@ OBS_LAYOUT_VERSION = 1
 
 _STREAM_ARRIVALS = 11
 _STREAM_REQUESTS = 12
+
+
+def _build_frozen(cls, **fields):
+    """An instance of the frozen dataclass cls built without its __init__:
+    no per-field object.__setattr__ and no __post_init__ checks. Only for
+    field values the caller has already shown to be valid."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 class NoPendingRequestError(RuntimeError):
@@ -196,6 +219,11 @@ class SliceEnv:
         self.debug = debug
         self._priorities = {s.slice_id: s.priority for s in scenario.slices}
         self._slice_by_id = {s.slice_id: s for s in scenario.slices}
+        n_resources = 3 * len(scenario.datacenters)
+        # observation entry of each slice's pending fraction
+        self._pending_entry = {s.slice_id: n_resources + k
+                               for k, s in enumerate(scenario.slices)}
+        self._obs = np.zeros(n_resources + len(scenario.slices))
         self.state: Optional[ClusterState] = None
         self.slot_log: List[SlotRecord] = []
         self._done = True
@@ -220,6 +248,10 @@ class SliceEnv:
         # per-slice chains in the ledger and requests in the pending deque
         self._active_counts = dict.fromkeys(self._slice_by_id, 0)
         self._pending_counts = dict.fromkeys(self._slice_by_id, 0)
+        for i in range(len(sc.datacenters)):
+            self._write_remaining(i)
+        for slice_id in self._pending_counts:
+            self._write_pending(slice_id)
         self._always_on_power = None
         if sc.power_mode == "always_on":
             self._always_on_power = self._draw_always_on_power()
@@ -254,7 +286,9 @@ class SliceEnv:
         pairs = zip(uniforms, uniforms)  # (power, lifetime) in request order
         for spec, count in zip(self.scenario.slices, counts):
             self._current_stats[spec.slice_id].arrived = count
-            self._pending_counts[spec.slice_id] += count
+            if count:
+                self._pending_counts[spec.slice_id] += count
+                self._write_pending(spec.slice_id)
             self.state.pending.extend([spec.slice_id] * count)
             p = spec.departure_prob
             self._request_attrs.extend(
@@ -284,15 +318,7 @@ class SliceEnv:
 
     def observation(self) -> np.ndarray:
         assert self.state is not None
-        values = []
-        for dc, rem in zip(self.scenario.datacenters, self.state.remaining):
-            cap = dc.capacity
-            values.extend((rem.cpu / cap.cpu, rem.memory / cap.memory,
-                           rem.storage / cap.storage))
-        # _pending_counts iterates in scenario order
-        values += [min(count, PENDING_CAP) / PENDING_CAP
-                   for count in self._pending_counts.values()]
-        return np.asarray(values, dtype=np.float64)
+        return self._obs.copy()
 
     @property
     def observation_size(self) -> int:
@@ -308,9 +334,11 @@ class SliceEnv:
     # ------------------------------------------------------------------- step
 
     def step(self, decision: int) -> StepOutcome:
-        if self._done or self.state is None:
+        state = self.state
+        if self._done or state is None:
             raise NoPendingRequestError("episode is finished; call reset()")
-        if not self.has_pending():
+        pending = state.pending
+        if not pending:
             raise NoPendingRequestError("no request is waiting for a decision")
         if not isinstance(decision, (int, np.integer)):
             raise InvalidDecisionError(f"decision must be an integer, got {decision!r}")
@@ -319,9 +347,9 @@ class SliceEnv:
         if decision < 0 or decision > n_dcs:
             raise InvalidDecisionError(f"decision {decision} outside 0..{n_dcs}")
 
-        state = self.state
-        slice_id = state.pending.popleft()
+        slice_id = pending.popleft()
         self._pending_counts[slice_id] -= 1
+        self._write_pending(slice_id)
         spec = self._slice_by_id[slice_id]
         u_power, lifetime = self._request_attrs.popleft()
         stats = self._current_stats[slice_id]
@@ -334,7 +362,11 @@ class SliceEnv:
             stats.rejected += 1
         else:
             dc_index = decision - 1
-            if self.admission_feasible(slice_id, dc_index):
+            rem, demand = state.remaining[dc_index], spec.demand
+            # admission_feasible's test, inlined; keep the two alike
+            if (self._active_counts[slice_id] < spec.chain_capacity
+                    and rem.cpu >= demand.cpu and rem.memory >= demand.memory
+                    and rem.storage >= demand.storage):
                 lo, hi = self.scenario.datacenters[dc_index].power_range
                 chain = Chain(
                     slice_id=slice_id,
@@ -344,7 +376,12 @@ class SliceEnv:
                 )
                 state.chains.append(chain)
                 self._active_counts[slice_id] += 1
-                state.remaining[dc_index] = state.remaining[dc_index] - spec.demand
+                # rem covers demand, so every difference is >= 0
+                state.remaining[dc_index] = _build_frozen(
+                    ResourceVector, cpu=rem.cpu - demand.cpu,
+                    memory=rem.memory - demand.memory,
+                    storage=rem.storage - demand.storage)
+                self._write_remaining(dc_index)
                 self._admitted_this_slot.append(slice_id)
                 stats.admitted += 1
                 admitted = True
@@ -354,13 +391,14 @@ class SliceEnv:
                 reward -= self.scenario.m_penalty
                 self._penalties_this_slot += self.scenario.m_penalty
 
-        if not state.pending:
+        if not pending:
             reward += self._settle_slot()
             reward += self._advance_through_empty_slots()
 
         if self.debug:
             self._check_conservation()
-        return StepOutcome(
+        return _build_frozen(
+            StepOutcome,
             reward=reward,
             admitted=admitted,
             infeasible_attempt=infeasible,
@@ -369,6 +407,23 @@ class SliceEnv:
         )
 
     # -------------------------------------------------------------- internals
+
+    def _write_remaining(self, dc_index: int) -> None:
+        """Rewrite DC dc_index's three remaining fractions in the kept
+        observation."""
+        rem = self.state.remaining[dc_index]
+        cap = self.scenario.datacenters[dc_index].capacity
+        base = 3 * dc_index
+        obs = self._obs
+        obs[base] = rem.cpu / cap.cpu
+        obs[base + 1] = rem.memory / cap.memory
+        obs[base + 2] = rem.storage / cap.storage
+
+    def _write_pending(self, slice_id: str) -> None:
+        """Rewrite the slice's pending fraction in the kept observation."""
+        count = self._pending_counts[slice_id]
+        self._obs[self._pending_entry[slice_id]] = (
+            min(count, PENDING_CAP) / PENDING_CAP)
 
     def _phi_tot(self) -> float:
         if self._always_on_power is not None:
@@ -407,15 +462,25 @@ class SliceEnv:
 
     def _sample_departures(self) -> None:
         state = self.state
+        remaining = state.remaining
         keep: List[Chain] = []
+        freed = set()
         for chain in state.chains:
             if chain.depart_after <= state.slot_index:
-                state.remaining[chain.dc_index] = (
-                    state.remaining[chain.dc_index] + self._slice_by_id[chain.slice_id].demand)
+                rem = remaining[chain.dc_index]
+                demand = self._slice_by_id[chain.slice_id].demand
+                # a nonnegative demand added back
+                remaining[chain.dc_index] = _build_frozen(
+                    ResourceVector, cpu=rem.cpu + demand.cpu,
+                    memory=rem.memory + demand.memory,
+                    storage=rem.storage + demand.storage)
+                freed.add(chain.dc_index)
                 self._active_counts[chain.slice_id] -= 1
             else:
                 keep.append(chain)
         state.chains = keep
+        for dc_index in freed:
+            self._write_remaining(dc_index)
 
     def _check_conservation(self) -> None:
         state = self.state
@@ -451,9 +516,13 @@ def run_episodes(envs: Sequence, seeds: Sequence[int],
     observations = [env.reset(int(seed)) for env, seed in zip(envs, seeds)]
     live = [i for i, env in enumerate(envs) if not env.episode_done()]
     while live:
+        still_live = []
         for i, action in zip(live, decide(live, observations)):
-            observations[i] = envs[i].step(int(action)).observation
-        live = [i for i in live if not envs[i].episode_done()]
+            outcome = envs[i].step(int(action))
+            observations[i] = outcome.observation
+            if not outcome.episode_done:
+                still_live.append(i)
+        live = still_live
 
 
 def _geometric_lifetime(u: float, p: float) -> float:

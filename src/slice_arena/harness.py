@@ -292,12 +292,15 @@ def _runners(names: Sequence[str], artifacts,
     if not names:
         raise ValueError(f"no scenario given; expected one or more of "
                          f"{', '.join(SCENARIO_NAMES)}")
+    seen = set()
     for name in names:
         if name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {name!r}; expected one of "
                              f"{', '.join(SCENARIO_NAMES)}")
-    return {name: _runner(name, artifacts, selection_seed)
-            for name in dict.fromkeys(names)}
+        if name in seen:
+            raise ValueError(f"scenario {name!r} is named twice")
+        seen.add(name)
+    return {name: _runner(name, artifacts, selection_seed) for name in names}
 
 
 def _run_loaded(name: str, runner: Callable, config: ScenarioConfig,
@@ -362,7 +365,8 @@ def sweep(config: ScenarioConfig, scenarios: Sequence[str] = SCENARIO_NAMES,
           selection_seed: int = 0) -> List[SweepPoint]:
     """Rerun scenarios across the arrival means of config.arrival_sweep,
     reusing trained checkpoints: each is read once, before the first point.
-    An empty or unknown scenario name raises ValueError before any read.
+    An empty, unknown or repeated scenario name raises ValueError before
+    any read.
 
     Every scenario at one arrival value replays the same seeds. Records are
     labeled ``name@a<arrival>`` so the summary carries one row per

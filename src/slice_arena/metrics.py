@@ -161,25 +161,21 @@ def write_metrics(records: Sequence[EpisodeRecord], out_dir,
         writer.writerow(METRICS_HEADER)
         for record in records:
             for slot_record in record.slot_log:
+                slot = slot_record.slot
+                # the slot-level cells, formatted once for all its slice rows
+                slot_cells = (format_value(slot_record.power),
+                              format_value(slot_record.power / scale),
+                              format_value(slot_record.reward),
+                              record.serving_member(slot),
+                              record.attacked_by_slot.get(slot, 0))
                 for sid in slice_ids:
                     stats = slot_record.per_slice.get(sid)
                     if stats is None:
                         continue
-                    writer.writerow([
-                        record.scenario,
-                        record.seed,
-                        slot_record.slot,
-                        sid,
-                        stats.arrived,
-                        stats.admitted,
-                        stats.rejected,
-                        stats.infeasible,
-                        format_value(slot_record.power),
-                        format_value(slot_record.power / scale),
-                        format_value(slot_record.reward),
-                        record.serving_member(slot_record.slot),
-                        record.attacked_by_slot.get(slot_record.slot, 0),
-                    ])
+                    writer.writerow((record.scenario, record.seed, slot, sid,
+                                     stats.arrived, stats.admitted,
+                                     stats.rejected, stats.infeasible,
+                                     *slot_cells))
 
     summary_path = out / "summary.csv"
     write_summary(records, summary_path, scenario)

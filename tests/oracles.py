@@ -250,6 +250,142 @@ def per_request_draw_arrivals(env):
                            for s in slices}
 
 
+def observation_reference(env):
+    """The observation of env built from scratch: per DC in scenario order
+    the remaining cpu, memory and storage over capacity, read from the
+    state; then per slice in scenario order its requests in the pending
+    deque, counted there, clipped to 32 and divided by 32."""
+    values = []
+    for dc, rem in zip(env.scenario.datacenters, env.state.remaining):
+        cap = dc.capacity
+        values += [rem.cpu / cap.cpu, rem.memory / cap.memory,
+                   rem.storage / cap.storage]
+    pending = list(env.state.pending)
+    values += [min(pending.count(s.slice_id), 32) / 32
+               for s in env.scenario.slices]
+    return np.asarray(values, dtype=np.float64)
+
+
+class PoisonedEnvReference:
+    """The attack wrapper as first written, kept to check the lean one: it
+    asks the wrapped env for everything through its public methods, builds
+    a new StepOutcome on every step, and forges the observation into a list.
+    Same attack stream, same draws, same forged rewards."""
+
+    def __init__(self, env, config):
+        from slice_arena.adversary import ForgeryAdversary
+
+        self.env = env
+        self.config = config
+        self.adversary = ForgeryAdversary(env.scenario)
+        self.attacked_by_slot = {}
+        self.lifetime_attacked = 0
+        self._rng = None
+        self._attacked_now = False
+        self._forged_obs = None
+        self._slot_admitted = []
+
+    def episode_done(self):
+        return self.env.episode_done()
+
+    def reset(self, seed):
+        true_obs = self.env.reset(seed)
+        self._rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((self.config.seed, seed, 21))))
+        self.attacked_by_slot = {}
+        self._slot_admitted = []
+        return self._arm(true_obs)
+
+    def _forge(self):
+        sc = self.env.scenario
+        values = list(np.atleast_1d(
+            self._rng.uniform(size=3 * len(sc.datacenters))))
+        for s in sc.slices:
+            count = min(int(self._rng.poisson(s.arrival_mean)), 32)
+            values.append(count / 32)
+        return np.asarray(values, dtype=np.float64)
+
+    def _arm(self, true_obs):
+        self._attacked_now = False
+        self._forged_obs = None
+        if self.env.episode_done() or not self.env.has_pending():
+            return true_obs
+        if self._rng.random() < self.config.attack_probability:
+            self._attacked_now = True
+            self._forged_obs = self._forge()
+            slot = self.env.state.slot_index
+            self.attacked_by_slot[slot] = self.attacked_by_slot.get(slot, 0) + 1
+            self.lifetime_attacked += 1
+            return self._forged_obs
+        return true_obs
+
+    def step(self, decision):
+        from slice_arena.adversary import StepContext
+        from slice_arena.env import REJECT, StepOutcome
+
+        env = self.env
+        attacked = self._attacked_now
+        forged_obs = self._forged_obs
+        spec = env.current_request_slice() if env.has_pending() else None
+        slot_final = env.pending_count() == 1
+
+        outcome = env.step(decision)
+
+        if attacked:
+            demand_fraction = None
+            if decision != REJECT:
+                cap = env.scenario.datacenters[decision - 1].capacity
+                d = spec.demand
+                demand_fraction = (d.cpu / cap.cpu, d.memory / cap.memory,
+                                   d.storage / cap.storage)
+            context = StepContext(
+                decision=int(decision), demand_fraction=demand_fraction,
+                slot_final=slot_final,
+                admitted_priorities=tuple(self._slot_admitted),
+                current_priority=spec.priority)
+            reward = self._forged_reward(context, forged_obs)
+        else:
+            reward = outcome.reward
+
+        if slot_final:
+            self._slot_admitted = []
+        elif outcome.admitted:
+            self._slot_admitted.append(spec.priority)
+
+        return StepOutcome(
+            reward=reward,
+            admitted=outcome.admitted,
+            infeasible_attempt=outcome.infeasible_attempt,
+            observation=self._arm(outcome.observation),
+            episode_done=outcome.episode_done)
+
+    def _forged_reward(self, context, forged_obs):
+        """ForgeryAdversary.forged_reward with its numpy feasibility test."""
+        from slice_arena.env import REJECT
+
+        sc = self.env.scenario
+        reward = 0.0
+        placed_ok = False
+        if context.decision != REJECT:
+            dc = context.decision - 1
+            remaining = forged_obs[3 * dc:3 * dc + 3]
+            if np.all(remaining >= np.asarray(context.demand_fraction) - 1e-12):
+                placed_ok = True
+            else:
+                reward -= sc.m_penalty
+        if context.slot_final:
+            n_res = 3 * len(sc.datacenters)
+            utilization = 1.0 - float(np.mean(forged_obs[:n_res]))
+            top = max(hi for _, hi in (dc.power_range for dc in sc.datacenters))
+            scale = top * sum(s.chain_capacity for s in sc.slices)
+            phi_hat = utilization * scale
+            bonus = sum(context.admitted_priorities)
+            if placed_ok:
+                bonus += context.current_priority
+            reward -= phi_hat - sc.kappa * bonus
+        return reward
+
+
 class AdamReference:
     """Adam with bias correction stepped one array at a time: for each
     parameter array a with gradient g,

@@ -7,6 +7,7 @@ from slice_arena.env import (InvalidDecisionError, NoPendingRequestError,
                              SliceEnv)
 
 from conftest import make_scenario, make_slice
+from oracles import PoisonedEnvReference
 
 
 class StubRng:
@@ -44,6 +45,14 @@ class TestForgeObservation:
         adv = ForgeryAdversary(paper_like)
         forged = adv.forge_observation(StubRng(u=0.5, k=3))
         np.testing.assert_allclose(forged, [0.5] * 6 + [3 / 32, 3 / 32])
+
+    def test_scalar_uniform_fills_resources(self, paper_like):
+        class ScalarRng(StubRng):
+            def uniform(self, size=None):
+                return self.u
+
+        forged = ForgeryAdversary(paper_like).forge_observation(ScalarRng(u=0.25))
+        np.testing.assert_array_equal(forged, [0.25] * 6 + [3 / 32, 3 / 32])
 
     def test_bounds_and_shape(self, paper_like):
         adv = ForgeryAdversary(paper_like)
@@ -83,6 +92,13 @@ class TestForgedReward:
                           slot_final=False, admitted_priorities=(),
                           current_priority=2.0)
         assert adv.forged_reward(ctx, forged) == 0.0
+
+    def test_exact_fit_is_feasible(self, paper_like):
+        adv = ForgeryAdversary(paper_like)
+        fraction = (0.1, 0.14, 0.006)
+        forged = np.array([*fraction, 0.0, 0.0, 0.0, 0.1, 0.1])
+        assert adv.forged_feasible(forged, 0, fraction)
+        assert not adv.forged_feasible(forged, 1, fraction)
 
     def test_slot_final_reject(self, paper_like):
         # utilization 0.5 of the 16-chain 200-power ceiling: phi_hat = 1600
@@ -234,3 +250,56 @@ class TestPoisonedEnv:
         assert wrapped.scenario is paper_like
         obs = wrapped.reset(seed=14)
         assert obs.shape == (env.observation_size,)
+
+
+class TestLeanWrapper:
+    """PoisonedEnv against the reference wrapper that asks the env for
+    everything and builds a new outcome on every step."""
+
+    @staticmethod
+    def side_by_side(scenario, probability, seed, script_seed=3):
+        config = AttackConfig(attack_probability=probability, seed=seed)
+        lean = PoisonedEnv(SliceEnv(scenario), config)
+        ref = PoisonedEnvReference(SliceEnv(scenario), config)
+        np.testing.assert_array_equal(lean.reset(seed), ref.reset(seed))
+        script = np.random.default_rng(script_seed)
+        steps = 0
+        while not ref.episode_done():
+            decision = int(script.integers(0, lean.n_actions))
+            got, want = lean.step(decision), ref.step(decision)
+            assert (got.reward, got.admitted, got.infeasible_attempt,
+                    got.episode_done) == (want.reward, want.admitted,
+                                          want.infeasible_attempt,
+                                          want.episode_done)
+            np.testing.assert_array_equal(got.observation, want.observation)
+            assert lean.attacked_by_slot == ref.attacked_by_slot
+            assert lean.lifetime_attacked == ref.lifetime_attacked
+            steps += 1
+        assert lean.episode_done()
+        assert lean.env.slot_log == ref.env.slot_log
+        return lean, steps
+
+    @pytest.mark.parametrize("probability", (0.0, 0.25, 1.0))
+    def test_paper_config(self, paper_cfg, probability):
+        lean, steps = self.side_by_side(paper_cfg, probability, seed=5)
+        assert steps > 1000
+        attacked = sum(lean.attacked_by_slot.values())
+        assert (attacked == 0) == (probability == 0.0)
+        assert (attacked == steps) == (probability == 1.0)
+
+    @pytest.mark.parametrize("probability", (0.0, 0.25, 1.0))
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_tiny_scenario(self, probability, seed):
+        tiny = make_scenario(slices=(make_slice(arrival_mean=2.0),), horizon=25)
+        self.side_by_side(tiny, probability, seed)
+
+    def test_unattacked_steps_pass_the_outcome_through(self, paper_like):
+        class Recording(SliceEnv):
+            def step(self, decision):
+                self.last = super().step(decision)
+                return self.last
+
+        env = Recording(paper_like)
+        wrapped = PoisonedEnv(env, AttackConfig(attack_probability=0.0))
+        wrapped.reset(seed=3)
+        assert wrapped.step(0) is env.last

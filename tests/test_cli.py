@@ -149,6 +149,14 @@ class TestTrainAndSweep:
         assert "no scenario" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_sweep_rejects_repeated_scenario(self, tiny_cfg_path, tmp_path,
+                                             capsys):
+        code = main(["sweep", "--config", tiny_cfg_path, "--out", str(tmp_path),
+                     "--scenarios", "random,random", "--arrivals", "2"])
+        assert code == 1
+        assert "'random' is named twice" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_sweep_unknown_scenario(self, tiny_cfg_path, tmp_path, capsys):
         code = main(["sweep", "--config", tiny_cfg_path,
                      "--out", str(tmp_path), "--scenarios", "bogus"])

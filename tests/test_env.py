@@ -10,7 +10,7 @@ from slice_arena import (REJECT, InvalidDecisionError, NoPendingRequestError,
 from slice_arena.env import PENDING_CAP, _geometric_lifetime, run_episodes
 
 from conftest import make_dc, make_scenario, make_slice
-from oracles import per_request_draw_arrivals
+from oracles import observation_reference, per_request_draw_arrivals
 
 
 def run_episode(env, seed, policy):
@@ -392,7 +392,12 @@ class TestAlwaysOnPower:
 
 
 class PerRequestDrawEnv(SliceEnv):
+    """Draws one value at a time and builds its observation from scratch,
+    so it owes nothing to the batched draws or to the observation that
+    SliceEnv keeps in place."""
+
     _draw_arrivals = per_request_draw_arrivals
+    observation = observation_reference
 
 
 def run_against_per_request_draws(scenario, seed, script_seed=5):
@@ -482,3 +487,101 @@ class TestCounters:
         getattr(env, counter)[paper_cfg.slices[-1].slice_id] += 1
         with pytest.raises(AssertionError, match=message):
             env.step(REJECT)
+
+
+def run_checking_observations(env, seed, policy):
+    """Drive env to its end with policy(env); check env.observation() and
+    every StepOutcome.observation against the from-scratch reference, and
+    that each is a copy. Returns the number of steps taken."""
+    first = env.reset(seed)
+    np.testing.assert_array_equal(first, observation_reference(env))
+    first[:] = -1.0  # a caller's edit must not reach the env
+    np.testing.assert_array_equal(env.observation(), observation_reference(env))
+    steps = 0
+    while not env.episode_done():
+        outcome = env.step(policy(env))
+        want = observation_reference(env)
+        np.testing.assert_array_equal(outcome.observation, want)
+        np.testing.assert_array_equal(env.observation(), want)
+        assert outcome.observation is not env.observation()
+        steps += 1
+    return steps
+
+
+class TestIncrementalObservation:
+    """The observation SliceEnv keeps in place against one built from
+    scratch, after reset and after every step."""
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_paper_config_random_policy(self, paper_cfg, seed):
+        rng = np.random.default_rng(seed)
+        env = SliceEnv(paper_cfg)
+        assert run_checking_observations(
+            env, seed, lambda e: int(rng.integers(0, e.n_actions))) > 1000
+
+    def test_paper_config_first_fit(self, paper_cfg):
+        env = SliceEnv(paper_cfg)
+        assert run_checking_observations(env, 3, first_fit) > 1000
+        assert len(env.state.chains) > 0
+
+    def test_reset_with_no_arrivals(self):
+        sc = make_scenario(slices=(make_slice("a", arrival_mean=0.0),
+                                   make_slice("b", arrival_mean=0.0)))
+        assert run_checking_observations(SliceEnv(sc), 0, first_fit) == 0
+        # a reused env: a reset with no arrivals after an episode that left
+        # chains placed and requests pending must rewrite every entry
+        sc = make_scenario(slices=(make_slice("a", arrival_mean=1.0),
+                                   make_slice("b", arrival_mean=1.0)),
+                           horizon=1)
+        env = SliceEnv(sc)
+        busy = hunt_seed(env, 2)
+        def done_at_reset(seed):  # with one slot: nothing arrives
+            env.reset(seed)
+            return env.episode_done()
+
+        empty = next(seed for seed in range(300) if done_at_reset(seed))
+        env.reset(busy)
+        env.step(1)
+        assert run_checking_observations(env, empty, first_fit) == 0
+        np.testing.assert_array_equal(env.observation(), [1] * 6 + [0, 0])
+
+    def test_departures_and_empty_slots(self):
+        # lifetimes of one slot, and sparse arrivals: chains leave every slot
+        # and many slots arrive empty, so their crossings are checked too
+        sc = make_scenario(slices=(
+            make_slice("blinks", arrival_mean=0.4, departure_prob=1.0),
+            make_slice("lingers", arrival_mean=0.6, departure_prob=0.3,
+                       chain_capacity=2)), horizon=80)
+        env = SliceEnv(sc, debug=True)
+        run_checking_observations(env, 4, first_fit)
+        assert any(rec.decisions == 0 for rec in env.slot_log)
+        assert sum(s.admitted for rec in env.slot_log
+                   for s in rec.per_slice.values()) > 10
+
+    def test_always_on_power(self):
+        sc = make_scenario(slices=(make_slice(arrival_mean=2.0, chain_capacity=4),),
+                           power_mode="always_on", horizon=40)
+        env = SliceEnv(sc)
+        rng = np.random.default_rng(8)
+        run_checking_observations(
+            env, 31, lambda e: first_fit(e) if rng.random() < 0.8 else REJECT)
+        assert len({rec.power for rec in env.slot_log}) == 1
+
+    @given(small_scenarios(), st.integers(0, 2 ** 31 - 1), st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_small_scenarios(self, scenario, seed, script_seed):
+        script = np.random.default_rng(script_seed)
+        env = SliceEnv(scenario)
+        run_checking_observations(
+            env, seed, lambda e: (first_fit(e) if script.random() < 0.7
+                                  else int(script.integers(0, e.n_actions))))
+
+    def test_subclass_observation_reaches_step(self, paper_cfg):
+        class Marked(SliceEnv):
+            def observation(self):
+                return np.full(self.observation_size, 7.0)
+
+        env = Marked(paper_cfg)
+        env.reset(hunt_seed(env, 12))
+        np.testing.assert_array_equal(env.step(REJECT).observation,
+                                      np.full(env.observation_size, 7.0))

@@ -462,6 +462,19 @@ class TestCheckpointLoads:
             sweep(small_cfg, scenarios=("ppo-clean", "greedy"), seeds=SEEDS,
                   artifacts=None)
 
+    def test_sweep_rejects_repeated_scenario_before_running(self, small_cfg,
+                                                             monkeypatch):
+        def never(*args):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(harness, "run_random", never)
+        with pytest.raises(ValueError, match="'random' is named twice"):
+            sweep(small_cfg, scenarios=("random", "random"), seeds=SEEDS)
+        # checked before the first checkpoint is looked for
+        with pytest.raises(ValueError, match="'ppo-clean' is named twice"):
+            sweep(small_cfg, scenarios=("ppo-clean", "random", "ppo-clean"),
+                  seeds=SEEDS, artifacts=None)
+
     def test_sweep_rejects_empty_scenario_list(self, small_cfg):
         with pytest.raises(ValueError, match="no scenario"):
             sweep(small_cfg, scenarios=(), seeds=SEEDS)

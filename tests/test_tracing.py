@@ -39,6 +39,21 @@ def test_traced_evaluation_counts_steps(paper_cfg):
     assert tracer.calls["metrics.aggregate"] == 0
 
 
+def test_traced_attacked_evaluation_counts_every_forgery(paper_cfg):
+    # PoisonedEnv must forge through its adversary instance, so that the
+    # adversary.forge span sees one call per forged decision
+    env = slice_arena.SliceEnv(paper_cfg)
+    params = slice_arena.init_parameters(env.observation_size, env.n_actions,
+                                         hidden=(4,), seed=0)
+    attack = slice_arena.AttackConfig(attack_probability=0.25, seed=3)
+    with tracing.Tracer(slice_arena) as tracer:
+        records = slice_arena.evaluate_policy(params, paper_cfg, (1, 2),
+                                              attack=attack)
+    forged = sum(sum(r.attacked_by_slot.values()) for r in records)
+    assert forged > 100
+    assert tracer.calls["adversary.forge"] == forged
+
+
 def test_traced_baselines_count_every_decision(paper_cfg, monkeypatch):
     # the runners must look the baselines up when they run, not bind them
     # at import (say, as a default argument), or the tracer never sees a call;
