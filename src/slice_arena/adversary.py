@@ -26,12 +26,12 @@ contract grants the attacker no state access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .env import PENDING_CAP, REJECT, SliceEnv, StepOutcome
+from .env import PENDING_CAP, REJECT, SliceEnv, StepOutcome, _build_frozen
 from .metrics import power_scale
 
 _STREAM_ATTACK = 21
@@ -48,21 +48,6 @@ class AttackConfig:
         if not 0.0 <= self.attack_probability <= 1.0:
             raise ValueError(
                 f"attack_probability must lie in [0, 1], got {self.attack_probability!r}")
-
-
-@dataclass(frozen=True)
-class StepContext:
-    """What the forged reward needs to know about the true decision step.
-
-    admitted_priorities lists the slot's earlier truly-admitted requests;
-    the current one is re-evaluated against the forged picture instead.
-    """
-
-    decision: int
-    demand_fraction: Optional[Tuple[float, float, float]]
-    slot_final: bool
-    admitted_priorities: Tuple[float, ...]
-    current_priority: float
 
 
 class ForgeryAdversary:
@@ -94,24 +79,32 @@ class ForgeryAdversary:
         remaining = forged_obs[3 * dc_index:3 * dc_index + 3].tolist()
         return all(r >= d - 1e-12 for r, d in zip(remaining, demand_fraction))
 
-    def forged_reward(self, context: StepContext, forged_obs: np.ndarray) -> float:
-        """The reward the forged state would have produced for this step."""
+    def forged_reward(self, forged_obs: np.ndarray, decision: int,
+                      demand_fraction: Optional[Tuple[float, float, float]],
+                      slot_final: bool, admitted_priorities: Sequence[float],
+                      current_priority: float) -> float:
+        """The reward the forged state would have produced for this step.
+
+        demand_fraction is the request's demand over the chosen DC's
+        capacity (None on a reject). admitted_priorities lists the slot's
+        earlier truly-admitted requests; the current one is re-evaluated
+        against the forged picture instead.
+        """
         sc = self.scenario
         reward = 0.0
         placed_ok = False
-        if context.decision != REJECT:
-            if self.forged_feasible(forged_obs, context.decision - 1,
-                                    context.demand_fraction):
+        if decision != REJECT:
+            if self.forged_feasible(forged_obs, decision - 1, demand_fraction):
                 placed_ok = True
             else:
                 reward -= sc.m_penalty
-        if context.slot_final:
+        if slot_final:
             n_res = 3 * len(sc.datacenters)
             utilization = 1.0 - float(np.mean(forged_obs[:n_res]))
             phi_hat = utilization * self._power_scale
-            bonus = sum(context.admitted_priorities)
+            bonus = sum(admitted_priorities)
             if placed_ok:
-                bonus += context.current_priority
+                bonus += current_priority
             reward -= phi_hat - sc.kappa * bonus
         return reward
 
@@ -128,7 +121,8 @@ class PoisonedEnv:
     step reads the wrapped env's pending deque directly. When neither the
     step just taken nor the next one is attacked, it returns the wrapped
     env's StepOutcome itself: the agent then sees exactly what the true env
-    reported.
+    reported. Otherwise it rebuilds that outcome with the forged reward or
+    observation through env._build_frozen, as env.step builds its own.
     """
 
     def __init__(self, env: SliceEnv, config: AttackConfig) -> None:
@@ -205,14 +199,9 @@ class PoisonedEnv:
                 d = spec.demand
                 demand_fraction = (d.cpu / cap.cpu, d.memory / cap.memory,
                                    d.storage / cap.storage)
-            context = StepContext(
-                decision=int(decision),
-                demand_fraction=demand_fraction,
-                slot_final=slot_final,
-                admitted_priorities=tuple(self._slot_admitted),
-                current_priority=spec.priority,
-            )
-            reward = self.adversary.forged_reward(context, forged_obs)
+            reward = self.adversary.forged_reward(
+                forged_obs, decision, demand_fraction, slot_final,
+                self._slot_admitted, spec.priority)
 
         if slot_final:
             self._slot_admitted = []
@@ -222,7 +211,8 @@ class PoisonedEnv:
         observation = self._arm(outcome.observation)
         if not (attacked or self._attacked_now):
             return outcome
-        return StepOutcome(
+        return _build_frozen(
+            StepOutcome,
             reward=reward,
             admitted=outcome.admitted,
             infeasible_attempt=outcome.infeasible_attempt,

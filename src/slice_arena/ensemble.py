@@ -15,10 +15,12 @@ stream. The ensemble round-trips through a plain-text manifest next to one
 checkpoint file per member.
 
 Greedy evaluation runs one episode per caller-given seed, all through
-env.run_episodes, with one batched actor-only forward (policy.forward_actor)
-per serving member per lockstep step; a single policy is a one-member
-ensemble. It returns the records, unaggregated; every environment keeps its
-own seeded streams, so they are those of running the seeds one by one.
+env.run_episodes. Per lockstep step it copies the live observations into
+one buffer allocated per evaluation, a block of rows per serving member,
+and makes one policy.greedy_actions call per block: the argmax of the
+actor's logits, with no softmax. A single policy is a one-member ensemble.
+It returns the records, unaggregated; every environment keeps its own
+seeded streams, so they are those of running the seeds one by one.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .config import ScenarioConfig
 from .env import SliceEnv, run_episodes
 from .metrics import EpisodeRecord, aggregate
 # policy_forward stays importable here: the per-layer tracer wraps it
-from .policy import (MlpParameters, forward_actor, load_checkpoint,
+from .policy import (MlpParameters, greedy_actions, load_checkpoint,
                      policy_forward, save_checkpoint)
 from .ppo import PpoConfig, train
 
@@ -155,11 +157,18 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
     wrapped = [PoisonedEnv(env, attack) if attack is not None else env
                for env in envs]
     member_maps: List[Dict[int, int]] = [{} for _ in seeds]
+    # one row per episode, in env.py's observation layout
+    batch = np.empty((len(seeds), 3 * len(scenario.datacenters)
+                      + len(scenario.slices)))
+
+    def act(member: int, group: List[int], obs) -> List[int]:
+        for row, i in enumerate(group):
+            batch[row] = obs[i]
+        return greedy_actions(members[member], batch[:len(group)])
 
     def decide(live, obs):
         if serve is None:  # one group: member 0 over every live env
-            return forward_actor(members[0], np.stack(
-                [obs[i] for i in live])).argmax(axis=1).tolist()
+            return act(0, live, obs)
         groups: Dict[int, List[int]] = {}
         for i in live:
             by_slot, slot = member_maps[i], envs[i].state.slot_index
@@ -168,9 +177,7 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
             groups.setdefault(by_slot[slot], []).append(i)
         actions = {}
         for member, group in groups.items():
-            probs = forward_actor(members[member],
-                                  np.stack([obs[i] for i in group]))
-            actions.update(zip(group, probs.argmax(axis=1).tolist()))
+            actions.update(zip(group, act(member, group, obs)))
         return [actions[i] for i in live]
 
     run_episodes(wrapped, seeds, decide)

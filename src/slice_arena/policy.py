@@ -5,10 +5,11 @@ flattened observation (default two tanh hidden layers of 64 units). The
 actor ends in a categorical head over {REJECT, DC 1..N}; the critic ends in
 a single linear unit. No autodiff: the backward pass is written out from the
 chain rule for this fixed family, and every gradient path is pinned by
-finite-difference tests. forward_actor runs the actor alone and returns the
-same probabilities as forward_batch, bit for bit, for callers that only act.
-tanh is the only hidden activation, and Adam's beta1, beta2 and epsilon are
-AdamOptimizer class constants.
+finite-difference tests. greedy_actions runs the actor alone and returns,
+per row, the argmax of its logits, lowest index on a tie: softmax keeps the
+order of the logits, so that is the greedy action without the softmax.
+tanh is the only hidden activation, and Adam's beta1, beta2 and epsilon
+are AdamOptimizer class constants.
 
 Layout. Every parameter lives in one float64 vector, MlpParameters.flat,
 in checkpoint order; each (W, b) is a view into it. A W with fewer rows
@@ -198,11 +199,12 @@ def forward_batch(params: MlpParameters, observations: np.ndarray):
                                  "probs": probs, "logp": logp, "entropy": entropy}
 
 
-def forward_actor(params: MlpParameters, observations: np.ndarray) -> np.ndarray:
-    """The action probabilities of forward_batch, bit for bit, without the
-    critic or the backward cache; for callers that only act."""
+def greedy_actions(params: MlpParameters, observations: np.ndarray) -> List[int]:
+    """Per row, the argmax of the actor's logits, lowest index on a tie:
+    softmax keeps their order, so this is the greedy action, computed
+    without the critic or the softmax."""
     _, logits = _forward_stack(params.actor, _checked_input(params, observations))
-    return _softmax(logits)
+    return logits.argmax(axis=1).tolist()
 
 
 def policy_forward(params: MlpParameters, observation: np.ndarray) -> PolicyOutput:

@@ -6,6 +6,7 @@ not against the library's code paths, so a shared bug cannot cancel out.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -320,7 +321,6 @@ class PoisonedEnvReference:
         return true_obs
 
     def step(self, decision):
-        from slice_arena.adversary import StepContext
         from slice_arena.env import REJECT, StepOutcome
 
         env = self.env
@@ -338,7 +338,7 @@ class PoisonedEnvReference:
                 d = spec.demand
                 demand_fraction = (d.cpu / cap.cpu, d.memory / cap.memory,
                                    d.storage / cap.storage)
-            context = StepContext(
+            context = SimpleNamespace(
                 decision=int(decision), demand_fraction=demand_fraction,
                 slot_final=slot_final,
                 admitted_priorities=tuple(self._slot_admitted),

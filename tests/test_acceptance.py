@@ -41,6 +41,9 @@ from slice_arena.ppo import clipped_surrogate_loss
 from conftest import PAPER_PROFILE, make_dc, make_slice
 from oracles import lindley_mm1_sojourn, numerical_gradient
 
+# the full-budget criteria; `pytest -m "not acceptance"` runs the rest
+pytestmark = pytest.mark.acceptance
+
 TRAIN_STEPS = 200_000
 ENSEMBLE_STEPS = 240_000
 POWER_STEPS = 60_000

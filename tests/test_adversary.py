@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from slice_arena.adversary import (AttackConfig, ForgeryAdversary,
-                                   PoisonedEnv, StepContext)
+from slice_arena.adversary import AttackConfig, ForgeryAdversary, PoisonedEnv
 from slice_arena.env import (InvalidDecisionError, NoPendingRequestError,
                              SliceEnv)
 
@@ -80,18 +79,20 @@ class TestForgedReward:
     def test_midslot_infeasible_placement(self, paper_like):
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.0] * 6 + [0.1, 0.1])  # nothing fits anywhere
-        ctx = StepContext(decision=1, demand_fraction=(0.1, 0.14, 0.006),
-                          slot_final=False, admitted_priorities=(),
-                          current_priority=2.0)
-        assert adv.forged_reward(ctx, forged) == -150_000.0
+        reward = adv.forged_reward(forged, decision=1,
+                                   demand_fraction=(0.1, 0.14, 0.006),
+                                   slot_final=False, admitted_priorities=(),
+                                   current_priority=2.0)
+        assert reward == -150_000.0
 
     def test_midslot_feasible_placement_is_free(self, paper_like):
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.9] * 6 + [0.1, 0.1])
-        ctx = StepContext(decision=2, demand_fraction=(0.1, 0.14, 0.006),
-                          slot_final=False, admitted_priorities=(),
-                          current_priority=2.0)
-        assert adv.forged_reward(ctx, forged) == 0.0
+        reward = adv.forged_reward(forged, decision=2,
+                                   demand_fraction=(0.1, 0.14, 0.006),
+                                   slot_final=False, admitted_priorities=(),
+                                   current_priority=2.0)
+        assert reward == 0.0
 
     def test_exact_fit_is_feasible(self, paper_like):
         adv = ForgeryAdversary(paper_like)
@@ -104,27 +105,29 @@ class TestForgedReward:
         # utilization 0.5 of the 16-chain 200-power ceiling: phi_hat = 1600
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.5] * 6 + [0.1, 0.1])
-        ctx = StepContext(decision=0, demand_fraction=None, slot_final=True,
-                          admitted_priorities=(2.0, 3.0), current_priority=3.0)
-        assert adv.forged_reward(ctx, forged) == pytest.approx(-(1600 - 1000 * 5))
+        reward = adv.forged_reward(forged, decision=0, demand_fraction=None,
+                                   slot_final=True, admitted_priorities=(2.0, 3.0),
+                                   current_priority=3.0)
+        assert reward == pytest.approx(-(1600 - 1000 * 5))
 
     def test_slot_final_placement_counts_when_forged_feasible(self, paper_like):
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.5] * 6 + [0.1, 0.1])
-        ctx = StepContext(decision=1, demand_fraction=(0.1, 0.1, 0.01),
-                          slot_final=True, admitted_priorities=(2.0,),
-                          current_priority=3.0)
-        assert adv.forged_reward(ctx, forged) == pytest.approx(-(1600 - 1000 * 5))
+        reward = adv.forged_reward(forged, decision=1,
+                                   demand_fraction=(0.1, 0.1, 0.01),
+                                   slot_final=True, admitted_priorities=(2.0,),
+                                   current_priority=3.0)
+        assert reward == pytest.approx(-(1600 - 1000 * 5))
 
     def test_slot_final_forged_infeasible_drops_and_penalizes(self, paper_like):
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.0] * 6 + [0.1, 0.1])
-        ctx = StepContext(decision=1, demand_fraction=(0.1, 0.1, 0.01),
-                          slot_final=True, admitted_priorities=(2.0,),
-                          current_priority=3.0)
+        reward = adv.forged_reward(forged, decision=1,
+                                   demand_fraction=(0.1, 0.1, 0.01),
+                                   slot_final=True, admitted_priorities=(2.0,),
+                                   current_priority=3.0)
         # phi_hat = 3200 at zero remaining; only the earlier admission counts
-        assert adv.forged_reward(ctx, forged) == pytest.approx(
-            -150_000.0 - (3200 - 1000 * 2))
+        assert reward == pytest.approx(-150_000.0 - (3200 - 1000 * 2))
 
     def test_true_infeasible_can_look_feasible(self, paper_like):
         # the true cluster is full, so the true step pays -M; the forged
@@ -139,13 +142,13 @@ class TestForgedReward:
         adv = ForgeryAdversary(paper_like)
         forged = adv.forge_observation(StubRng(u=0.9))
         cap = paper_like.datacenters[0].capacity
-        ctx = StepContext(decision=1,
-                          demand_fraction=(spec.demand.cpu / cap.cpu,
-                                           spec.demand.memory / cap.memory,
-                                           spec.demand.storage / cap.storage),
-                          slot_final=False, admitted_priorities=(),
-                          current_priority=spec.priority)
-        assert adv.forged_reward(ctx, forged) == 0.0
+        reward = adv.forged_reward(forged, decision=1,
+                                   demand_fraction=(spec.demand.cpu / cap.cpu,
+                                                    spec.demand.memory / cap.memory,
+                                                    spec.demand.storage / cap.storage),
+                                   slot_final=False, admitted_priorities=(),
+                                   current_priority=spec.priority)
+        assert reward == 0.0
 
 
 def scripted_run(env, seed, script_seed=909):

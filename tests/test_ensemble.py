@@ -12,7 +12,8 @@ from slice_arena.ensemble import (ENSEMBLE_MAGIC, EnsembleManifestError,
                                   load_ensemble, save_ensemble, select_model,
                                   train_ensemble)
 from slice_arena.metrics import aggregate
-from slice_arena.policy import init_parameters
+from slice_arena.policy import (DimensionMismatchError, init_parameters,
+                                load_checkpoint, save_checkpoint)
 from slice_arena.ppo import PpoConfig
 
 from conftest import make_scenario, make_slice
@@ -358,16 +359,16 @@ class TestLockstep:
             if member_by_slot is not None:
                 assert list(record.member_by_slot) == list(member_by_slot)
 
-    def count_forward_actor(self, monkeypatch):
+    def count_greedy_actions(self, monkeypatch):
         import slice_arena.ensemble as ensemble
         rows = []
-        original = ensemble.forward_actor
+        original = ensemble.greedy_actions
 
         def counting(params, observations):
             rows.append(len(observations))
             return original(params, observations)
 
-        monkeypatch.setattr(ensemble, "forward_actor", counting)
+        monkeypatch.setattr(ensemble, "greedy_actions", counting)
         return rows
 
     def test_clean_policy_matches_reference(self, tiny_scenario):
@@ -401,7 +402,7 @@ class TestLockstep:
 
     def test_one_batched_forward_per_step(self, tiny_scenario, monkeypatch):
         params = self.varied_members(tiny_scenario, 1)[0]
-        rows = self.count_forward_actor(monkeypatch)
+        rows = self.count_greedy_actions(monkeypatch)
         records = evaluate_policy(params, tiny_scenario, self.SEEDS)
         decisions = [sum(s.decisions for s in r.slot_log) for r in records]
         # one call per lockstep step, over the environments still live
@@ -415,7 +416,7 @@ class TestLockstep:
         spec = EnsembleSpec(member_configs=default_member_configs(),
                             parameters=members, selection_seed=4)
         attack = AttackConfig(attack_probability=0.3, seed=2)
-        rows = self.count_forward_actor(monkeypatch)
+        rows = self.count_greedy_actions(monkeypatch)
         records = evaluate_under_attack(spec, tiny_scenario, attack,
                                         seeds=self.SEEDS)
         # the member deciding each step of each episode, in step order
@@ -425,6 +426,39 @@ class TestLockstep:
                    for step in range(max(len(seq) for seq in serving))]
         assert len(rows) <= sum(present)
         assert sum(rows) == sum(len(seq) for seq in serving)
+
+    def test_mismatched_checkpoint_raises(self, tiny_scenario, tmp_path):
+        from slice_arena.env import SliceEnv
+        env = SliceEnv(tiny_scenario)
+        path = str(tmp_path / "wide.ckpt")
+        save_checkpoint(init_parameters(env.observation_size + 1, env.n_actions,
+                                        hidden=(8,)), path)
+        with pytest.raises(DimensionMismatchError):
+            evaluate_policy(load_checkpoint(path), tiny_scenario, self.SEEDS)
+
+    def test_non_finite_observation_raises(self, tiny_scenario, monkeypatch):
+        import slice_arena.ensemble as ensemble
+        from slice_arena.env import SliceEnv
+
+        class NanAtSlotTwo(SliceEnv):
+            def observation(self):
+                obs = super().observation()
+                if self.state.slot_index == 2:
+                    obs[-1] = np.nan
+                return obs
+
+        monkeypatch.setattr(ensemble, "SliceEnv", NanAtSlotTwo)
+        params = self.varied_members(tiny_scenario, 1)[0]
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            evaluate_policy(params, tiny_scenario, self.SEEDS)
+
+    def test_no_seeds_no_records(self, tiny_scenario):
+        members = self.varied_members(tiny_scenario, 2)
+        spec = EnsembleSpec(member_configs=default_member_configs()[:2],
+                            parameters=members)
+        assert evaluate_policy(members[0], tiny_scenario, seeds=[]) == []
+        assert evaluate_under_attack(spec, tiny_scenario, AttackConfig(),
+                                     seeds=[]) == []
 
 
 class TestTrainEnsemble:

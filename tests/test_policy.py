@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from slice_arena.policy import (AdamOptimizer, CheckpointFormatError,
                                 DimensionMismatchError, MlpParameters,
-                                PolicyOutput, backward_batch, forward_actor,
-                                forward_batch, init_parameters, load_checkpoint,
+                                PolicyOutput, backward_batch, forward_batch,
+                                greedy_actions, init_parameters, load_checkpoint,
                                 policy_forward, sample_action, save_checkpoint)
 
 from oracles import AdamReference, numerical_gradient, softmax_reference
@@ -77,8 +79,26 @@ class TestForward:
             policy_forward(params, np.array([np.nan, 0, 0, 0]))
 
 
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+BENCH_CHECKPOINTS = ("model.ckpt", "attacked_model.ckpt",
+                     *(f"ensemble/member_{i}.ckpt" for i in range(4)))
+
+
+def perturbed_actor(obs, actions, hidden, seed):
+    """init_parameters with actor weights far from the near-uniform init,
+    so that the greedy action varies with the observation."""
+    params = init_parameters(obs, actions, hidden=hidden, seed=seed)
+    rng = np.random.default_rng(seed)
+    for w, b in params.actor:
+        w[...] = rng.normal(0, 2, w.shape)
+        b[...] = rng.normal(0, 1, b.shape)
+    return params
+
+
 class TestForwardActor:
-    """The actor-only forward against forward_batch's probabilities."""
+    """The actor-only forwards against forward_batch: greedy_actions picks
+    forward_batch's most probable action, policy_forward returns its
+    probabilities and value bit for bit."""
 
     @pytest.fixture(params=("init", "loaded"))
     def params(self, request, tmp_path):
@@ -94,19 +114,53 @@ class TestForwardActor:
     def test_bit_identical_to_forward_batch(self, params, batch):
         obs = np.random.default_rng(batch).uniform(size=(batch, 8))
         probs, _, _ = forward_batch(params, obs)
-        assert np.array_equal(forward_actor(params, obs), probs)
+        assert greedy_actions(params, obs) == probs.argmax(axis=1).tolist()
         for row in obs:  # the cache-free batch-1 rollout forward
             row_probs, row_values, _ = forward_batch(params, row[None, :])
             out = policy_forward(params, row)
             assert np.array_equal(out.action_probabilities, row_probs[0])
             assert out.state_value == row_values[0]
 
+    @pytest.mark.parametrize("source", (
+        *BENCH_CHECKPOINTS, "init-8", "init-64x64", "init-128x128"))
+    def test_greedy_is_forward_batch_argmax(self, source):
+        if source.startswith("init-"):
+            hidden = tuple(int(h) for h in source[5:].split("x"))
+            params = perturbed_actor(8, 3, hidden, seed=len(hidden))
+        else:
+            params = load_checkpoint(str(INPUTS / source))
+        rng = np.random.default_rng(17)
+        n_resources = params.observation_size - 2  # paper.cfg: 2 DCs, 2 slices
+        rows, actions = 0, []
+        while rows < 2_000:
+            for batch in range(1, 9):
+                obs = np.empty((batch, params.observation_size))
+                obs[:, :n_resources] = rng.uniform(size=(batch, n_resources))
+                obs[:, n_resources:] = np.minimum(
+                    rng.poisson(6.0, size=(batch, 2)), 32) / 32
+                probs, _, _ = forward_batch(params, obs)
+                greedy = greedy_actions(params, obs)
+                assert greedy == probs.argmax(axis=1).tolist()
+                actions.extend(greedy)
+                rows += batch
+        assert len(set(actions)) > 1  # the rows reach more than one action
+
+    def test_exact_tie_goes_to_lowest_index(self):
+        params = init_parameters(4, 4, hidden=(3,), seed=0)
+        w, b = params.actor[-1]
+        w[...] = 0.0  # every row's logits are the head bias
+        obs = np.random.default_rng(0).uniform(size=(5, 4))
+        for bias, expected in (([0.5, 2.0, 2.0, 2.0], 1), ([0.0] * 4, 0),
+                               ([-1.0, 3.0, -1.0, 3.0], 1)):
+            b[...] = bias
+            assert greedy_actions(params, obs) == [expected] * 5
+
     @pytest.mark.parametrize("bad", (np.zeros((2, 7)), np.zeros(8),
                                      np.full((2, 8), np.nan),
                                      np.array([[0.0] * 7 + [np.inf]])))
     def test_bad_input_rejected(self, bad):
         with pytest.raises(DimensionMismatchError):
-            forward_actor(init_parameters(8, 3, seed=0), bad)
+            greedy_actions(init_parameters(8, 3, seed=0), bad)
 
 
 class TestSampling:
