@@ -3,7 +3,7 @@
 
     python3 scripts/identity_check.py REV
 
-Unpacks ``git archive REV`` into a temporary directory, then runs five
+Unpacks ``git archive REV`` into a temporary directory, then runs eight
 probes on that tree and on the working tree:
 
 * ``compare``: all five scenarios on the bundled paper.cfg (20 seeds, attack
@@ -30,6 +30,13 @@ odd split), and the poisoned twin trains in one. So they also hold those
 paths to the bytes of the revision's, and each fails if a worker process
 outlives the call.
 
+``compare-1cpu``, ``sweep-1cpu`` and ``train-1cpu`` run those three probes
+again on one CPU: the child pins itself to one usable CPU with
+``os.sched_setaffinity`` (where that call exists) before it imports
+slice_arena, and fails unless ``harness._can_fork()`` is then False. They
+hold the one-process paths to the revision's one-process bytes, so a single
+run checks both paths.
+
 Each probe runs in a fresh interpreter that imports slice_arena from that
 tree's src/ only. The probes run one after another and each is waited for,
 so no process outlives the script. Prints every result, then a verdict line;
@@ -44,6 +51,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import tarfile
@@ -52,7 +60,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "perfbench" / "inputs"
-PROBES = ("compare", "sweep", "train", "overprovision", "checkpoint-io")
+ONE_CPU = "-1cpu"
+PROBES = ("compare", "sweep", "train", "overprovision", "checkpoint-io",
+          "compare" + ONE_CPU, "sweep" + ONE_CPU, "train" + ONE_CPU)
 
 
 def sha256(path: Path) -> str:
@@ -66,30 +76,38 @@ def no_worker_left(call: str) -> None:
 
 def probe(name: str, tree: Path, scratch: Path) -> dict:
     """Run one probe in this interpreter on slice_arena from tree/src."""
+    one_cpu = name.endswith(ONE_CPU)
+    if one_cpu:
+        name = name[:-len(ONE_CPU)]
+        if hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     src = (tree / "src").resolve()
     sys.path.insert(0, str(src))
     import slice_arena as sa
     if Path(sa.__file__).resolve().parent != src / "slice_arena":
         raise RuntimeError(f"imported slice_arena from {sa.__file__}, not {src}")
+    if one_cpu and sa.harness._can_fork():
+        raise RuntimeError(f"the one-CPU pass of {name} could still fork")
+    tag = name + (ONE_CPU if one_cpu else "")
     config = sa.load_config(sa.paper_config_path())
     if name == "compare":
         results = sa.compare(config, artifacts=INPUTS,
                              attack=sa.AttackConfig(seed=0), selection_seed=0)
         no_worker_left("compare")
         paths = sa.write_results(results, scratch / "compare", config)
-        return {f"compare/{Path(p).name}": sha256(Path(p)) for p in paths}
+        return {f"{tag}/{Path(p).name}": sha256(Path(p)) for p in paths}
     if name == "sweep":
         swept = dataclasses.replace(config, arrival_sweep=(2.0, 6.0))
         points = sa.sweep(swept, seeds=config.seeds[:5], artifacts=INPUTS,
                           attack=sa.AttackConfig(seed=0), selection_seed=0)
         no_worker_left("sweep")
         paths = sa.write_results([p.result for p in points], scratch / "sweep", swept)
-        return {f"sweep/{Path(p).name}": sha256(Path(p)) for p in paths}
+        return {f"{tag}/{Path(p).name}": sha256(Path(p)) for p in paths}
     if name == "train":
         paths = sa.train_single_models(config, scratch / "train", seed=3,
                                        total_env_steps=6_144)
         no_worker_left("train_single_models")
-        return {f"train/{Path(p).name}": sha256(Path(p)) for p in paths}
+        return {f"{tag}/{Path(p).name}": sha256(Path(p)) for p in paths}
     if name == "checkpoint-io":
         out = scratch / "checkpoint-io"
         out.mkdir()

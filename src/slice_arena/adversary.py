@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import ScenarioConfig
-from .env import PENDING_CAP, REJECT, SliceEnv, StepOutcome, _build_frozen
+from .env import PENDING_CAP, REJECT, SliceEnv, StepOutcome
 from .metrics import power_scale
 
 _STREAM_ATTACK = 21
@@ -121,8 +121,8 @@ class PoisonedEnv:
     step reads the wrapped env's pending deque directly. When neither the
     step just taken nor the next one is attacked, it returns the wrapped
     env's StepOutcome itself: the agent then sees exactly what the true env
-    reported. Otherwise it rebuilds that outcome with the forged reward or
-    observation through env._build_frozen, as env.step builds its own.
+    reported. Otherwise it builds a new StepOutcome with the forged reward
+    or observation.
     """
 
     def __init__(self, env: SliceEnv, config: AttackConfig) -> None:
@@ -211,11 +211,5 @@ class PoisonedEnv:
         observation = self._arm(outcome.observation)
         if not (attacked or self._attacked_now):
             return outcome
-        return _build_frozen(
-            StepOutcome,
-            reward=reward,
-            admitted=outcome.admitted,
-            infeasible_attempt=outcome.infeasible_attempt,
-            observation=observation,
-            episode_done=outcome.episode_done,
-        )
+        return StepOutcome(reward, outcome.admitted, outcome.infeasible_attempt,
+                           observation, outcome.episode_done)

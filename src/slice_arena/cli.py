@@ -113,19 +113,15 @@ def cmd_dimension(args) -> int:
               f"{count:>7d} {delay:>9.4f}")
 
     print()
-    print(",".join(DIMENSION_HEADER))
-    lines = [",".join(format_value(v) for v in row) for row in rows]
-    for line in lines:
-        print(line)
+    cells = [DIMENSION_HEADER] + [[format_value(v) for v in row] for row in rows]
+    csv.writer(sys.stdout, lineterminator="\n").writerows(cells)
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "dimension.csv", "w", encoding="utf-8",
                   newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(DIMENSION_HEADER)
-            writer.writerows(line.split(",") for line in lines)
+            csv.writer(fh, lineterminator="\n").writerows(cells)
     return 0
 
 

@@ -242,15 +242,11 @@ def train_ensemble(scenario: ScenarioConfig, member_configs: Sequence[PpoConfig]
 
     def train_member(index: int, config: PpoConfig):
         if index == attacked:
-            wrappers: List[PoisonedEnv] = []
-
-            def factory(w=wrappers):
-                wrapper = PoisonedEnv(SliceEnv(scenario), attack)
-                w.append(wrapper)
-                return wrapper
-
-            result = train(factory, config)
-            poisoned = sum(w.lifetime_attacked for w in wrappers)
+            # train calls its factory once, so this one wrapper counts
+            # every attacked step
+            wrapper = PoisonedEnv(SliceEnv(scenario), attack)
+            result = train(lambda: wrapper, config)
+            poisoned = wrapper.lifetime_attacked
         else:
             result = train(lambda: SliceEnv(scenario), config)
             poisoned = 0

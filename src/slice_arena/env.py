@@ -36,11 +36,10 @@ values are the same bits; observation() and StepOutcome.observation hand
 out copies. The vector follows the env's own changes only: a caller that
 rewrites state.remaining itself does not move it.
 
-When the env admits or releases a chain, it builds the DC's new remaining
-ResourceVector unchecked, without __post_init__. Its own checks make that
-safe: an admission subtracts a demand that the remaining capacity covers,
-so no component goes below zero, and a departure adds a nonnegative demand
-back. Everywhere else the checked constructor and operators run.
+Every object the env builds goes through its type's own constructor: an
+admission or departure writes the DC's new remaining capacity as
+``rem - demand`` or ``rem + demand``, so ResourceVector's check runs on it,
+and each step returns a StepOutcome tuple.
 
 run_episodes is the one loop that steps episodes to their end: every
 evaluation (policies, baselines, the overprovisioning study) drives its
@@ -61,7 +60,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -76,15 +76,6 @@ OBS_LAYOUT_VERSION = 1
 
 _STREAM_ARRIVALS = 11
 _STREAM_REQUESTS = 12
-
-
-def _build_frozen(cls, **fields):
-    """An instance of the frozen dataclass cls built without its __init__:
-    no per-field object.__setattr__ and no __post_init__ checks. Only for
-    field values the caller has already shown to be valid."""
-    instance = object.__new__(cls)
-    instance.__dict__.update(fields)
-    return instance
 
 
 class NoPendingRequestError(RuntimeError):
@@ -102,10 +93,13 @@ class ResourceVector:
     storage: float
 
     def __post_init__(self) -> None:
-        for name in ("cpu", "memory", "storage"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        # finite and >= 0; NaN fails every comparison
+        if not (0.0 <= self.cpu < math.inf and 0.0 <= self.memory < math.inf
+                and 0.0 <= self.storage < math.inf):
+            name = next(n for n in ("cpu", "memory", "storage")
+                        if not 0.0 <= getattr(self, n) < math.inf)
+            raise ValueError(f"{name} must be finite and >= 0, "
+                             f"got {getattr(self, name)!r}")
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu + other.cpu, self.memory + other.memory,
@@ -184,8 +178,7 @@ class ClusterState:
         return sum(c.power for c in self.chains)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     reward: float
     admitted: bool
     infeasible_attempt: bool
@@ -300,9 +293,6 @@ class SliceEnv:
     def has_pending(self) -> bool:
         return self.state is not None and len(self.state.pending) > 0
 
-    def pending_count(self) -> int:
-        return 0 if self.state is None else len(self.state.pending)
-
     def current_request_slice(self) -> SliceSpec:
         if not self.has_pending():
             raise NoPendingRequestError("no request is waiting for a decision")
@@ -376,11 +366,7 @@ class SliceEnv:
                 )
                 state.chains.append(chain)
                 self._active_counts[slice_id] += 1
-                # rem covers demand, so every difference is >= 0
-                state.remaining[dc_index] = _build_frozen(
-                    ResourceVector, cpu=rem.cpu - demand.cpu,
-                    memory=rem.memory - demand.memory,
-                    storage=rem.storage - demand.storage)
+                state.remaining[dc_index] = rem - demand
                 self._write_remaining(dc_index)
                 self._admitted_this_slot.append(slice_id)
                 stats.admitted += 1
@@ -397,14 +383,8 @@ class SliceEnv:
 
         if self.debug:
             self._check_conservation()
-        return _build_frozen(
-            StepOutcome,
-            reward=reward,
-            admitted=admitted,
-            infeasible_attempt=infeasible,
-            observation=self.observation(),
-            episode_done=self._done,
-        )
+        return StepOutcome(reward, admitted, infeasible, self.observation(),
+                           self._done)
 
     # -------------------------------------------------------------- internals
 
@@ -467,13 +447,9 @@ class SliceEnv:
         freed = set()
         for chain in state.chains:
             if chain.depart_after <= state.slot_index:
-                rem = remaining[chain.dc_index]
-                demand = self._slice_by_id[chain.slice_id].demand
-                # a nonnegative demand added back
-                remaining[chain.dc_index] = _build_frozen(
-                    ResourceVector, cpu=rem.cpu + demand.cpu,
-                    memory=rem.memory + demand.memory,
-                    storage=rem.storage + demand.storage)
+                remaining[chain.dc_index] = (
+                    remaining[chain.dc_index]
+                    + self._slice_by_id[chain.slice_id].demand)
                 freed.add(chain.dc_index)
                 self._active_counts[chain.slice_id] -= 1
             else:

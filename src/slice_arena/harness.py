@@ -365,20 +365,27 @@ def sweep(config: ScenarioConfig, scenarios: Sequence[str] = SCENARIO_NAMES,
           selection_seed: int = 0) -> List[SweepPoint]:
     """Rerun scenarios across the arrival means of config.arrival_sweep,
     reusing trained checkpoints: each is read once, before the first point.
-    An empty, unknown or repeated scenario name raises ValueError before
-    any read.
+    An empty, unknown or repeated scenario name, or two arrival means with
+    the same label, raises ValueError before any read.
 
     Every scenario at one arrival value replays the same seeds. Records are
     labeled ``name@a<arrival>`` so the summary carries one row per
     (scenario, arrival) pair.
     """
+    arrivals = {}  # label -> arrival mean
+    for arrival in config.arrival_sweep:
+        tag = f"a{arrival:g}"
+        if tag in arrivals:
+            raise ValueError(f"arrival means {arrivals[tag]!r} and {arrival!r} "
+                             f"share the sweep label {tag}")
+        arrivals[tag] = arrival
     runners = _runners(scenarios, artifacts, selection_seed)
     points = []
-    for arrival in config.arrival_sweep:
+    for tag, arrival in arrivals.items():
         point_config = with_arrival_mean(config, arrival)
         for name in scenarios:
             result = _run_loaded(name, runners[name], point_config, seeds,
-                                 attack, f"{name}@a{arrival:g}")
+                                 attack, f"{name}@{tag}")
             points.append(SweepPoint(scenario=name,
                                      arrival_mean=float(arrival),
                                      result=result))

@@ -270,7 +270,8 @@ def observation_reference(env):
 class PoisonedEnvReference:
     """The attack wrapper as first written, kept to check the lean one: it
     asks the wrapped env for everything through its public methods, builds
-    a new StepOutcome on every step, and forges the observation into a list.
+    a new outcome namespace on every step, and forges the observation into
+    a list.
     Same attack stream, same draws, same forged rewards."""
 
     def __init__(self, env, config):
@@ -321,13 +322,13 @@ class PoisonedEnvReference:
         return true_obs
 
     def step(self, decision):
-        from slice_arena.env import REJECT, StepOutcome
+        from slice_arena.env import REJECT
 
         env = self.env
         attacked = self._attacked_now
         forged_obs = self._forged_obs
         spec = env.current_request_slice() if env.has_pending() else None
-        slot_final = env.pending_count() == 1
+        slot_final = len(env.state.pending) == 1
 
         outcome = env.step(decision)
 
@@ -352,7 +353,7 @@ class PoisonedEnvReference:
         elif outcome.admitted:
             self._slot_admitted.append(spec.priority)
 
-        return StepOutcome(
+        return SimpleNamespace(
             reward=reward,
             admitted=outcome.admitted,
             infeasible_attempt=outcome.infeasible_attempt,

@@ -134,7 +134,7 @@ class TestForgedReward:
         # picture has room, so the agent is told the placement fit
         env = SliceEnv(paper_like)
         env.reset(seed=1)
-        assert env.pending_count() > 1  # a mid-slot step
+        assert len(env.state.pending) > 1  # a mid-slot step
         spec = env.current_request_slice()
         env.state.remaining = [dc.capacity - dc.capacity
                                for dc in paper_like.datacenters]

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import pytest
 
 from slice_arena import paper_config_path
@@ -54,6 +57,34 @@ class TestDimension:
         assert "s1,1,2,1.07,8,1.066667" in stdout
         lines = (out / "dimension.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_paper_output_bytes(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["dimension", "--out", str(out)]) == 0
+        rows = ("slice_id,alpha,mu,t_max,vnf_count,total_delay\n"
+                "s1,1,2,1.07,8,1.066667\n"
+                "s2,1,2,1.07,8,1.066667\n")
+        assert capsys.readouterr().out == (
+            "slice       alpha       mu    t_max  chains     delay\n"
+            "s1          1.000    2.000    1.070       8    1.0667\n"
+            "s2          1.000    2.000    1.070       8    1.0667\n"
+            "\n" + rows)
+        assert (out / "dimension.csv").read_bytes() == rows.encode()
+
+    def test_comma_in_slice_id_stays_one_cell(self, tmp_path, capsys):
+        config = tmp_path / "comma.cfg"
+        text = Path(paper_config_path()).read_text()
+        config.write_text(text.replace("[slice s1]", "[slice s1,x]"))
+        out = tmp_path / "run"
+        assert main(["dimension", "--config", str(config),
+                     "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        with open(out / "dimension.csv", newline="") as fh:
+            written = list(csv.reader(fh))
+        printed = list(csv.reader(stdout.split("\n\n", 1)[1].splitlines()))
+        assert written == printed
+        assert [len(row) for row in written] == [6, 6, 6]
+        assert written[1][0] == "s1,x"
 
 
 class TestEval:
@@ -155,6 +186,15 @@ class TestTrainAndSweep:
                      "--scenarios", "random,random", "--arrivals", "2"])
         assert code == 1
         assert "'random' is named twice" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("arrivals", ["2,2", "2,2.0000001"])
+    def test_sweep_rejects_colliding_labels(self, tiny_cfg_path, tmp_path,
+                                            capsys, arrivals):
+        code = main(["sweep", "--config", tiny_cfg_path, "--out", str(tmp_path),
+                     "--scenarios", "random", "--arrivals", arrivals])
+        assert code == 1
+        assert "share the sweep label a2" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     def test_sweep_unknown_scenario(self, tiny_cfg_path, tmp_path, capsys):

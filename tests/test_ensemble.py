@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slice_arena.adversary import AttackConfig
+from slice_arena.adversary import AttackConfig, PoisonedEnv
 from slice_arena.ensemble import (ENSEMBLE_MAGIC, EnsembleManifestError,
                                   EnsembleSpec, MemberQualityError,
                                   _decode_config, _encode_config,
@@ -11,10 +11,11 @@ from slice_arena.ensemble import (ENSEMBLE_MAGIC, EnsembleManifestError,
                                   evaluate_policy, evaluate_under_attack,
                                   load_ensemble, save_ensemble, select_model,
                                   train_ensemble)
+from slice_arena.env import SliceEnv
 from slice_arena.metrics import aggregate
 from slice_arena.policy import (DimensionMismatchError, init_parameters,
                                 load_checkpoint, save_checkpoint)
-from slice_arena.ppo import PpoConfig
+from slice_arena.ppo import PpoConfig, train
 
 from conftest import make_scenario, make_slice
 from oracles import greedy_episodes_reference
@@ -470,6 +471,16 @@ class TestTrainEnsemble:
                 assert steps > 0
             else:
                 assert steps == 0
+
+    def test_attacked_steps_match_a_direct_run(self, attacked_ensemble,
+                                              tiny_scenario):
+        spec = attacked_ensemble
+        wrapper = PoisonedEnv(SliceEnv(tiny_scenario),
+                              AttackConfig(attack_probability=0.5, seed=3))
+        train(lambda: wrapper, spec.member_configs[spec.attacked_member])
+        assert wrapper.lifetime_attacked > 0
+        assert (spec.training_attacked_steps[spec.attacked_member]
+                == wrapper.lifetime_attacked)
 
     def test_clean_admission_recorded(self, attacked_ensemble):
         assert len(attacked_ensemble.clean_admission) == 2

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slice_arena import (REJECT, InvalidDecisionError, NoPendingRequestError,
-                         ResourceVector, SliceEnv)
+                         ResourceVector, SliceEnv, StepOutcome, load_config,
+                         paper_config_path)
 from slice_arena.env import PENDING_CAP, _geometric_lifetime, run_episodes
 
 from conftest import make_dc, make_scenario, make_slice
@@ -35,7 +36,7 @@ def first_fit(env):
 def hunt_seed(env, pending_target, limit=300):
     for seed in range(limit):
         env.reset(seed)
-        if env.pending_count() == pending_target and not env.episode_done():
+        if len(env.state.pending) == pending_target and not env.episode_done():
             return seed
     raise AssertionError(f"no seed with {pending_target} initial arrivals in {limit} tries")
 
@@ -50,10 +51,54 @@ class TestResourceVector:
         assert a.covers(a)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceVector(-1, 0, 0)
-        with pytest.raises(ValueError):
-            ResourceVector(0, math.nan, 0)
+        for component in ("cpu", "memory", "storage"):
+            for bad in (-1, math.nan, math.inf):
+                values = {"cpu": 1.0, "memory": 1.0, "storage": 1.0,
+                          component: bad}
+                with pytest.raises(ValueError, match=(
+                        f"^{component} must be finite and >= 0, got {bad!r}$")):
+                    ResourceVector(**values)
+        assert ResourceVector(0, 0.0, 1e308).as_tuple() == (0, 0.0, 1e308)
+
+    def test_every_remaining_vector_passed_the_check(self, monkeypatch):
+        checked = {}  # id -> vector; holding each keeps its id unique
+        check = ResourceVector.__post_init__
+
+        def counting(self):
+            check(self)
+            checked[id(self)] = self
+
+        monkeypatch.setattr(ResourceVector, "__post_init__", counting)
+        # loaded under the counter, so the capacities reset writes count too
+        env = SliceEnv(load_config(paper_config_path()))
+        admitted = departed = 0
+        for seed in (1, 2):
+            env.reset(seed)
+            assert all(checked.get(id(v)) is v for v in env.state.remaining)
+            while not env.episode_done():
+                chains = len(env.state.chains)
+                outcome = env.step(first_fit(env))
+                admitted += outcome.admitted
+                departed += len(env.state.chains) < chains + outcome.admitted
+                assert all(checked.get(id(v)) is v
+                           for v in env.state.remaining)
+        assert admitted > 100 and departed > 100
+
+
+class TestStepOutcome:
+    def test_fields_keep_their_names_and_order(self):
+        assert StepOutcome._fields == ("reward", "admitted",
+                                       "infeasible_attempt", "observation",
+                                       "episode_done")
+
+    def test_step_returns_one(self, paper_cfg):
+        env = SliceEnv(paper_cfg)
+        env.reset(1)
+        outcome = env.step(REJECT)
+        assert type(outcome) is StepOutcome
+        reward, admitted, infeasible, observation, done = outcome
+        assert (admitted, infeasible, done) == (False, False, False)
+        np.testing.assert_array_equal(observation, env.observation())
 
     @given(st.tuples(*[st.floats(0, 1e6) for _ in range(3)]),
            st.tuples(*[st.floats(0, 1e6) for _ in range(3)]))

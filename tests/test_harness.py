@@ -475,6 +475,21 @@ class TestCheckpointLoads:
             sweep(small_cfg, scenarios=("ppo-clean", "random", "ppo-clean"),
                   seeds=SEEDS, artifacts=None)
 
+    @pytest.mark.parametrize("arrivals", [(2.0, 2.0), (2.0, 2.0000001)])
+    def test_sweep_rejects_colliding_labels_before_running(
+            self, small_cfg, monkeypatch, arrivals):
+        def never(*args):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(harness, "run_random", never)
+        config = dataclasses.replace(small_cfg, arrival_sweep=(6.0,) + arrivals)
+        with pytest.raises(ValueError, match="share the sweep label a2"):
+            sweep(config, scenarios=("random",), seeds=SEEDS)
+        # checked before the first checkpoint is looked for
+        with pytest.raises(ValueError, match="share the sweep label a2"):
+            sweep(config, scenarios=("ppo-clean",), seeds=SEEDS,
+                  artifacts=None)
+
     def test_sweep_rejects_empty_scenario_list(self, small_cfg):
         with pytest.raises(ValueError, match="no scenario"):
             sweep(small_cfg, scenarios=(), seeds=SEEDS)
