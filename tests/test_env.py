@@ -84,6 +84,14 @@ class TestResourceVector:
                            for v in env.state.remaining)
         assert admitted > 100 and departed > 100
 
+    @given(st.tuples(*[st.floats(0, 1e6) for _ in range(3)]),
+           st.tuples(*[st.floats(0, 1e6) for _ in range(3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_covers_parts(self, xs, ys):
+        a, b = ResourceVector(*xs), ResourceVector(*ys)
+        total = a + b
+        assert total.covers(a) and total.covers(b)
+
 
 class TestStepOutcome:
     def test_fields_keep_their_names_and_order(self):
@@ -99,14 +107,6 @@ class TestStepOutcome:
         reward, admitted, infeasible, observation, done = outcome
         assert (admitted, infeasible, done) == (False, False, False)
         np.testing.assert_array_equal(observation, env.observation())
-
-    @given(st.tuples(*[st.floats(0, 1e6) for _ in range(3)]),
-           st.tuples(*[st.floats(0, 1e6) for _ in range(3)]))
-    @settings(max_examples=60, deadline=None)
-    def test_sum_covers_parts(self, xs, ys):
-        a, b = ResourceVector(*xs), ResourceVector(*ys)
-        total = a + b
-        assert total.covers(a) and total.covers(b)
 
 
 class TestFeasibilityAndCost:
