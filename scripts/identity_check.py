@@ -3,7 +3,7 @@
 
     python3 scripts/identity_check.py REV
 
-Unpacks ``git archive REV`` into a temporary directory, then runs eight
+Unpacks ``git archive REV`` into a temporary directory, then runs nine
 probes on that tree and on the working tree:
 
 * ``compare``: all five scenarios on the bundled paper.cfg (20 seeds, attack
@@ -14,6 +14,9 @@ probes on that tree and on the working tree:
   ``arrival_sweep`` (2, 6), the config's first 5 seeds, the same checkpoints
   and attack and selection seed 0; the SHA-256 of metrics.csv and
   summary.csv;
+* ``optimal-cap``: ``optimal`` alone on paper.cfg with every slice's
+  ``chain_capacity`` at 20, where the data centers bind before the caps,
+  on the config's first 5 seeds; the SHA-256 of metrics.csv;
 * ``train``: ``train_single_models`` at seed 3 and 6,144 steps per model;
   the SHA-256 of both checkpoints;
 * ``overprovision``: ``overprovision_power_ratio`` on
@@ -23,15 +26,15 @@ probes on that tree and on the working tree:
   ensemble with ``load_ensemble``/``save_ensemble``) loaded and saved again;
   the SHA-256 of every written file.
 
-Where a second CPU is usable and the platform can fork, the first three
+Where a second CPU is usable and the platform can fork, the first four
 probes take the two-process paths: ``run_scenario`` runs the second half of
-its seeds in a worker process (10 of compare's 20 seeds; 3 of sweep's 5, an
-odd split), and the poisoned twin trains in one. So they also hold those
-paths to the bytes of the revision's, and each fails if a worker process
-outlives the call.
+its seeds in a worker process (10 of compare's 20 seeds; 3 of the 5 of
+sweep and optimal-cap, an odd split), and the poisoned twin trains in one.
+So they also hold those paths to the bytes of the revision's, and each
+fails if a worker process outlives the call.
 
-``compare-1cpu``, ``sweep-1cpu`` and ``train-1cpu`` run those three probes
-again on one CPU: the child pins itself to one usable CPU with
+``compare-1cpu``, ``sweep-1cpu`` and ``train-1cpu`` run the compare, sweep
+and train probes again on one CPU: the child pins itself to one usable CPU with
 ``os.sched_setaffinity`` (where that call exists) before it imports
 slice_arena, and fails unless ``harness._can_fork()`` is then False. They
 hold the one-process paths to the revision's one-process bytes, so a single
@@ -61,8 +64,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "perfbench" / "inputs"
 ONE_CPU = "-1cpu"
-PROBES = ("compare", "sweep", "train", "overprovision", "checkpoint-io",
-          "compare" + ONE_CPU, "sweep" + ONE_CPU, "train" + ONE_CPU)
+CAPPED_CHAINS = 20
+PROBES = ("compare", "sweep", "optimal-cap", "train", "overprovision",
+          "checkpoint-io", "compare" + ONE_CPU, "sweep" + ONE_CPU,
+          "train" + ONE_CPU)
 
 
 def sha256(path: Path) -> str:
@@ -103,6 +108,14 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
         no_worker_left("sweep")
         paths = sa.write_results([p.result for p in points], scratch / "sweep", swept)
         return {f"{tag}/{Path(p).name}": sha256(Path(p)) for p in paths}
+    if name == "optimal-cap":
+        capped = dataclasses.replace(config, slices=tuple(
+            dataclasses.replace(s, chain_capacity=CAPPED_CHAINS)
+            for s in config.slices))
+        result = sa.harness.run_scenario("optimal", capped, seeds=config.seeds[:5])
+        no_worker_left("run_scenario")
+        metrics, _ = sa.write_results([result], scratch / "optimal-cap", capped)
+        return {f"{tag}/{metrics.name}": sha256(metrics)}
     if name == "train":
         paths = sa.train_single_models(config, scratch / "train", seed=3,
                                        total_env_steps=6_144)

@@ -5,6 +5,7 @@ not against the library's code paths, so a shared bug cannot cancel out.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -114,6 +115,99 @@ def brute_force_decision(requests, state, kappa, datacenters):
         if cost is not None and (best_cost is None or cost < best_cost):
             best, best_cost = assignment, cost
     return best
+
+
+def count_vector_decision(requests, state, kappa, datacenters):
+    """The slot optimum found from count vectors, for slots too large for
+    brute_force_decision.
+
+    Lists every way to split each slice's requests over the DCs that its
+    free chain slots and the summed demand allow (count arithmetic with a
+    relative slack of 1e-9), sorts all of them by cost, and replays the
+    cheapest in request order, each as the lexicographically first
+    arrangement of its counts that fits, until the next costs more than the
+    best replayed cost plus a tolerance far above rounding. The smallest
+    (replayed cost, assignment) wins.
+    """
+    slack = 1e-9
+    ids = list(dict.fromkeys(spec.slice_id for spec in requests))
+    spec_of = {spec.slice_id: spec for spec in requests}
+    counts = {sid: sum(spec.slice_id == sid for spec in requests) for sid in ids}
+    active = {sid: sum(chain.slice_id == sid for chain in state.chains)
+              for sid in ids}
+    base_power = sum(chain.power for chain in state.chains)
+    midpoints = [sum(dc.power_range) / 2.0 for dc in datacenters]
+    remaining = [r.as_tuple() for r in state.remaining]
+    bounds = [v + slack * max(1.0, v) for r in remaining for v in r]
+    n_dcs = len(remaining)
+
+    candidates = [(base_power, (), [0.0] * len(bounds))]
+    for sid in ids:
+        spec = spec_of[sid]
+        limit = max(0, min(counts[sid], spec.chain_capacity - active[sid]))
+        grown = []
+        for split in itertools.product(range(limit + 1), repeat=n_dcs):
+            if sum(split) > limit:
+                continue
+            usage = [m * d for m in split for d in spec.demand.as_tuple()]
+            delta = (sum(m * p for m, p in zip(split, midpoints))
+                     - kappa * spec.priority * sum(split))
+            for cost, chosen, used in candidates:
+                total = [u + v for u, v in zip(used, usage)]
+                if all(t <= b for t, b in zip(total, bounds)):
+                    grown.append((cost + delta, chosen + (split,), total))
+        candidates = grown
+    candidates.sort(key=lambda candidate: candidate[0])
+
+    tolerance = slack * (1.0 + abs(base_power) + sum(
+        max(midpoints, default=0.0) + abs(kappa) * spec.priority
+        for spec in requests))
+    best = None
+    for approx, chosen, _ in candidates:
+        if best is not None and approx > best[0] + tolerance:
+            break
+        left = tuple((counts[sid] - sum(split),) + split
+                     for sid, split in zip(ids, chosen))
+        assignment = _first_fitting_arrangement(requests, ids, left, remaining)
+        if assignment is not None:
+            found = (assignment_cost(assignment, requests, state, kappa,
+                                     datacenters), assignment)
+            if best is None or found < best:
+                best = found
+    return best[1]
+
+
+def _first_fitting_arrangement(requests, ids, left, remaining):
+    """The lexicographically first assignment that gives slice ids[s]
+    left[s][option] requests of each option and whose placements each fit
+    when made in request order, or None. Memoized on (request, remaining
+    capacity, counts left)."""
+    index = {sid: s for s, sid in enumerate(ids)}
+
+    @functools.lru_cache(maxsize=None)
+    def search(i, remaining, left):
+        if i == len(requests):
+            return ()
+        s = index[requests[i].slice_id]
+        demand = requests[i].demand.as_tuple()
+        for option, count in enumerate(left[s]):
+            if not count:
+                continue
+            after = remaining
+            if option:
+                have = remaining[option - 1]
+                if any(h < d for h, d in zip(have, demand)):
+                    continue
+                after = (remaining[:option - 1]
+                         + (tuple(h - d for h, d in zip(have, demand)),)
+                         + remaining[option:])
+            counts = left[s][:option] + (count - 1,) + left[s][option + 1:]
+            rest = search(i + 1, after, left[:s] + (counts,) + left[s + 1:])
+            if rest is not None:
+                return (option,) + rest
+        return None
+
+    return search(0, tuple(remaining), left)
 
 
 def greedy_episodes_reference(members, scenario, seeds, attack=None,

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from slice_arena.baselines import (myopic_exhaustive_decision,
                                    random_policy_decision)
-from slice_arena.env import Chain, ClusterState, ResourceVector
+from slice_arena.env import Chain, ClusterState, ResourceVector, SliceEnv
 
 from conftest import make_dc, make_slice
-from oracles import assignment_cost, brute_force_decision, enumerate_assignments
+from oracles import (assignment_cost, brute_force_decision,
+                     count_vector_decision, enumerate_assignments)
 
 
 def cluster(remaining, chains=()):
@@ -182,6 +184,33 @@ class TestMyopicExhaustive:
         dcs = (make_dc("dc1", power=(100, 100)),)
         assert myopic_exhaustive_decision([a, b], state, 1000.0, dcs) == (1, 1)
 
+    def test_cheapest_first_leaf_is_not_optimal(self):
+        # "a" fills the DC alone (2 x 1,850 against "b"'s 2,850), so the
+        # first leaf of a cheapest-first search admits both a's; one a and
+        # the b together are worth 4,700, which a cut must not lose
+        a = make_slice("a", priority=2.0, demand=(1, 10, 1))
+        b = make_slice("b", priority=3.0, demand=(1, 10, 1))
+        state = cluster([rv(32, 20, 5000)])
+        dcs = (make_dc("dc1", power=(150, 150)),)
+        requests = [a, a, b]
+        assert assignment_cost((1, 1, 0), requests, state, 1000.0, dcs) == -3700
+        got = myopic_exhaustive_decision(requests, state, 1000.0, dcs)
+        assert got == (0, 1, 1)
+        assert got == brute_force_decision(requests, state, 1000.0, dcs)
+
+    def test_all_ties_take_the_smallest_assignment(self, two_dcs):
+        # identical DCs with room for two requests each and two slices of
+        # equal worth: every way to admit all four ties on cost
+        s1, s2 = make_slice("s1", chain_capacity=2), make_slice("s2", chain_capacity=2)
+        state = cluster([rv(32, 14, 5000), rv(32, 14, 5000)])
+        requests = [s2, s1, s2, s1]
+        tied = {assignment_cost(a, requests, state, 1000.0, two_dcs)
+                for a in [(1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 1, 2), (2, 2, 1, 1)]}
+        assert len(tied) == 1
+        got = myopic_exhaustive_decision(requests, state, 1000.0, two_dcs)
+        assert got == (1, 1, 2, 2)
+        assert got == brute_force_decision(requests, state, 1000.0, two_dcs)
+
     def test_one_slice_id_with_two_specs_rejected(self, two_dcs):
         state = cluster([rv(32, 50, 5000), rv(32, 50, 5000)])
         with pytest.raises(ValueError, match="differ"):
@@ -231,13 +260,14 @@ class TestMyopicExhaustive:
 
 
 @st.composite
-def slot_instances(draw):
+def slot_instances(draw, min_requests=1, max_requests=None):
     """A slot decision problem with exact cost arithmetic (integer
     priorities, kappa and chain powers; half-integer midpoints), so that
     cost ties are exact and the tie rule is well defined. Demands lie on a
     0.1 grid and each DC has room for a few requests give or take a tenth,
     so placements fit or miss at the margin, where the order of the
-    subtractions can decide."""
+    subtractions can decide. Without max_requests a slot has at most 8, 7
+    or 6 requests on 1, 2 or 3 DCs, few enough to brute-force."""
     n_dcs = draw(st.integers(1, 3))
     if draw(st.booleans()):
         ranges = [(150.0, 150.0)] * n_dcs
@@ -259,8 +289,9 @@ def slot_instances(draw):
         remaining.append(rv(*(
             max(0, sum(demand[c] for demand in room)
                 + draw(st.integers(-1, 1))) / 10 for c in range(3))))
-    max_requests = (8, 7, 6)[n_dcs - 1]
-    requests = draw(st.lists(st.sampled_from(slices), min_size=1,
+    if max_requests is None:
+        max_requests = (8, 7, 6)[n_dcs - 1]
+    requests = draw(st.lists(st.sampled_from(slices), min_size=min_requests,
                              max_size=max_requests))
     chains = [Chain(slices[s].slice_id, dc, float(power), depart_after=99)
               for s, dc, power in draw(st.lists(
@@ -278,3 +309,38 @@ class TestAgainstBruteForce:
         requests, state, kappa, dcs = instance
         assert myopic_exhaustive_decision(requests, state, kappa, dcs) \
             == brute_force_decision(requests, state, kappa, dcs)
+
+
+class TestAgainstCountVectors:
+    """Slots of 10 to 16 requests, past brute force's reach, against the
+    enumerate-sort-replay search over count vectors."""
+
+    @given(slot_instances(min_requests=10, max_requests=16))
+    @settings(max_examples=120, deadline=None)
+    def test_oracle_equals_count_vector_search(self, instance):
+        requests, state, kappa, dcs = instance
+        assert myopic_exhaustive_decision(requests, state, kappa, dcs) \
+            == count_vector_decision(requests, state, kappa, dcs)
+
+    @pytest.mark.parametrize("capacity", [8, 20])
+    def test_paper_slots_equal_count_vector_search(self, paper_cfg, capacity):
+        # the paper's identical DCs make cost ties common; at a cap of 20
+        # the DCs bind before the caps do
+        scenario = dataclasses.replace(paper_cfg, slices=tuple(
+            dataclasses.replace(s, chain_capacity=capacity)
+            for s in paper_cfg.slices))
+        by_id = {s.slice_id: s for s in scenario.slices}
+        env = SliceEnv(scenario)
+        env.reset(paper_cfg.seeds[0])
+        decided = large = 0
+        while not env.episode_done() and env.state.slot_index < 60:
+            requests = [by_id[sid] for sid in env.state.pending]
+            got = myopic_exhaustive_decision(requests, env.state,
+                                             scenario.kappa, scenario.datacenters)
+            assert got == count_vector_decision(
+                requests, env.state, scenario.kappa, scenario.datacenters)
+            decided += 1
+            large += len(requests) >= 10
+            for option in got:
+                env.step(option)
+        assert decided == 60 and large > 20
