@@ -3,7 +3,7 @@
 
     python3 scripts/identity_check.py REV
 
-Unpacks ``git archive REV`` into a temporary directory, then runs nine
+Unpacks ``git archive REV`` into a temporary directory, then runs ten
 probes on that tree and on the working tree:
 
 * ``compare``: all five scenarios on the bundled paper.cfg (20 seeds, attack
@@ -19,6 +19,12 @@ probes on that tree and on the working tree:
   on the config's first 5 seeds; the SHA-256 of metrics.csv;
 * ``train``: ``train_single_models`` at seed 3 and 6,144 steps per model;
   the SHA-256 of both checkpoints;
+* ``ensemble``: ``train_ensemble`` on paper.cfg with
+  ``default_member_configs(3, 2048)`` and the attack at seed 3, then
+  ``save_ensemble``; the SHA-256 of the manifest and of every member
+  checkpoint, and the spec's ``clean_admission``, ``attacked_member`` and
+  ``training_attacked_steps`` (the poisoned member's attacked steps,
+  counted by ``PoisonedEnv``), which the manifest does not store;
 * ``overprovision``: ``overprovision_power_ratio`` on
   ``overprovision_study_scenario(paper.cfg)`` at M = 10 and 12; the value;
 * ``checkpoint-io``: every checkpoint in the working tree's perfbench/inputs
@@ -65,9 +71,10 @@ ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "perfbench" / "inputs"
 ONE_CPU = "-1cpu"
 CAPPED_CHAINS = 20
-PROBES = ("compare", "sweep", "optimal-cap", "train", "overprovision",
-          "checkpoint-io", "compare" + ONE_CPU, "sweep" + ONE_CPU,
-          "train" + ONE_CPU)
+ENSEMBLE_SEED = 3
+PROBES = ("compare", "sweep", "optimal-cap", "train", "ensemble",
+          "overprovision", "checkpoint-io", "compare" + ONE_CPU,
+          "sweep" + ONE_CPU, "train" + ONE_CPU)
 
 
 def sha256(path: Path) -> str:
@@ -121,6 +128,19 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
                                        total_env_steps=6_144)
         no_worker_left("train_single_models")
         return {f"{tag}/{Path(p).name}": sha256(Path(p)) for p in paths}
+    if name == "ensemble":
+        spec = sa.train_ensemble(
+            config, sa.default_member_configs(ENSEMBLE_SEED, 2_048),
+            attack=sa.AttackConfig(seed=ENSEMBLE_SEED))
+        no_worker_left("train_ensemble")
+        manifest = sa.save_ensemble(spec, scratch / "ensemble")
+        written = [manifest] + [manifest.parent / f"member_{i}.ckpt"
+                                for i in range(len(spec))]
+        found = {f"ensemble/{p.name}": sha256(p) for p in written}
+        for field in ("clean_admission", "attacked_member",
+                      "training_attacked_steps"):
+            found[f"ensemble/{field}"] = repr(getattr(spec, field))
+        return found
     if name == "checkpoint-io":
         out = scratch / "checkpoint-io"
         out.mkdir()

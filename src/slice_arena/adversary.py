@@ -26,12 +26,12 @@ contract grants the attacker no state access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .env import PENDING_CAP, REJECT, SliceEnv, StepOutcome
+from .env import PENDING_CAP, REJECT, SliceEnv, SliceSpec, StepOutcome
 from .metrics import power_scale
 
 _STREAM_ATTACK = 21
@@ -80,21 +80,24 @@ class ForgeryAdversary:
         return all(r >= d - 1e-12 for r, d in zip(remaining, demand_fraction))
 
     def forged_reward(self, forged_obs: np.ndarray, decision: int,
-                      demand_fraction: Optional[Tuple[float, float, float]],
-                      slot_final: bool, admitted_priorities: Sequence[float],
-                      current_priority: float) -> float:
+                      spec: SliceSpec, slot_final: bool,
+                      earlier_bonus: float) -> float:
         """The reward the forged state would have produced for this step.
 
-        demand_fraction is the request's demand over the chosen DC's
-        capacity (None on a reject). admitted_priorities lists the slot's
-        earlier truly-admitted requests; the current one is re-evaluated
-        against the forged picture instead.
+        spec is the slice of the request decided; a placement is checked
+        against the forged picture with its demand over the chosen DC's
+        capacity. earlier_bonus sums the priorities of the slot's earlier
+        truly-admitted requests; the current one is re-evaluated against
+        the forged picture instead.
         """
         sc = self.scenario
         reward = 0.0
         placed_ok = False
         if decision != REJECT:
-            if self.forged_feasible(forged_obs, decision - 1, demand_fraction):
+            cap, d = sc.datacenters[decision - 1].capacity, spec.demand
+            fraction = (d.cpu / cap.cpu, d.memory / cap.memory,
+                        d.storage / cap.storage)
+            if self.forged_feasible(forged_obs, decision - 1, fraction):
                 placed_ok = True
             else:
                 reward -= sc.m_penalty
@@ -102,9 +105,9 @@ class ForgeryAdversary:
             n_res = 3 * len(sc.datacenters)
             utilization = 1.0 - float(np.mean(forged_obs[:n_res]))
             phi_hat = utilization * self._power_scale
-            bonus = sum(admitted_priorities)
+            bonus = earlier_bonus
             if placed_ok:
-                bonus += current_priority
+                bonus += spec.priority
             reward -= phi_hat - sc.kappa * bonus
         return reward
 
@@ -118,11 +121,12 @@ class PoisonedEnv:
     env (its slot log is the ground truth); the wrapper only counts how
     many decisions per slot were attacked.
 
-    step reads the wrapped env's pending deque directly. When neither the
-    step just taken nor the next one is attacked, it returns the wrapped
-    env's StepOutcome itself: the agent then sees exactly what the true env
-    reported. Otherwise it builds a new StepOutcome with the forged reward
-    or observation.
+    On attacked steps only, step reads the request's slice, whether it ends
+    the slot and the slot's bonus so far from the wrapped env, before
+    stepping it. When neither the step just taken nor the next one is
+    attacked, it returns the wrapped env's StepOutcome itself: the agent
+    then sees exactly what the true env reported. Otherwise it builds a
+    new StepOutcome with the forged reward or observation.
     """
 
     def __init__(self, env: SliceEnv, config: AttackConfig) -> None:
@@ -132,10 +136,7 @@ class PoisonedEnv:
         self.attacked_by_slot: Dict[int, int] = {}
         self.lifetime_attacked = 0  # survives resets, unlike attacked_by_slot
         self._rng = None
-        self._attacked_now = False
-        self._forged_obs: Optional[np.ndarray] = None
-        self._slot_admitted: List[float] = []
-        self._slice_by_id = {s.slice_id: s for s in env.scenario.slices}
+        self._forged_obs: Optional[np.ndarray] = None  # set on attacked steps
 
     # mirrored read-only surface
     @property
@@ -153,27 +154,21 @@ class PoisonedEnv:
     def episode_done(self) -> bool:
         return self.env.episode_done()
 
-    def has_pending(self) -> bool:
-        return self.env.has_pending()
-
     def reset(self, seed: int) -> np.ndarray:
         true_obs = self.env.reset(seed)
         self._rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((self.config.seed, seed, _STREAM_ATTACK))))
         self.attacked_by_slot = {}
-        self._slot_admitted = []
         return self._arm(true_obs)
 
     def _arm(self, true_obs: np.ndarray) -> np.ndarray:
         """Decide the attack for the upcoming decision; returns what the
         agent gets to see."""
-        self._attacked_now = False
         self._forged_obs = None
         # a finished episode has nothing pending
         if not self.env.state.pending:
             return true_obs
         if self._rng.random() < self.config.attack_probability:
-            self._attacked_now = True
             self._forged_obs = self.adversary.forge_observation(self._rng)
             slot = self.env.state.slot_index
             self.attacked_by_slot[slot] = self.attacked_by_slot.get(slot, 0) + 1
@@ -183,33 +178,21 @@ class PoisonedEnv:
 
     def step(self, decision: int) -> StepOutcome:
         env = self.env
-        attacked = self._attacked_now
         forged_obs = self._forged_obs
-        pending = env.state.pending if env.state is not None else ()
-        spec = self._slice_by_id[pending[0]] if pending else None
-        slot_final = len(pending) == 1
-
-        outcome = env.step(decision)
-
-        reward = outcome.reward
-        if attacked:
-            demand_fraction = None
-            if decision != REJECT:
-                cap = env.scenario.datacenters[decision - 1].capacity
-                d = spec.demand
-                demand_fraction = (d.cpu / cap.cpu, d.memory / cap.memory,
-                                   d.storage / cap.storage)
+        if forged_obs is None:
+            outcome = env.step(decision)
+            reward = outcome.reward
+        else:
+            # an attacked step always has a request pending
+            spec = env.current_request_slice()
+            slot_final = len(env.state.pending) == 1
+            earlier_bonus = env._slot_bonus
+            outcome = env.step(decision)
             reward = self.adversary.forged_reward(
-                forged_obs, decision, demand_fraction, slot_final,
-                self._slot_admitted, spec.priority)
-
-        if slot_final:
-            self._slot_admitted = []
-        elif outcome.admitted:
-            self._slot_admitted.append(spec.priority)
+                forged_obs, decision, spec, slot_final, earlier_bonus)
 
         observation = self._arm(outcome.observation)
-        if not (attacked or self._attacked_now):
+        if forged_obs is None and self._forged_obs is None:
             return outcome
         return StepOutcome(reward, outcome.admitted, outcome.infeasible_attempt,
                            observation, outcome.episode_done)

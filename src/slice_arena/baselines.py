@@ -88,8 +88,8 @@ def myopic_exhaustive_decision(requests: Sequence[SliceSpec], state: ClusterStat
         if first is not spec and first != spec:
             raise ValueError(f"requests of slice {sid!r} differ in spec")
         counts[sid] = counts.get(sid, 0) + 1
-    # one pass over the ledger; the powers are summed by sum(), as
-    # ClusterState.total_power sums them
+    # one pass over the ledger; sum() adds the powers in ledger order,
+    # the order in which the env adds up its slot power
     active: Dict[str, int] = {}
     powers = []
     for deployed in state.chains:

@@ -157,9 +157,9 @@ def _greedy_lockstep(members: Sequence[MlpParameters], scenario: ScenarioConfig,
     wrapped = [PoisonedEnv(env, attack) if attack is not None else env
                for env in envs]
     member_maps: List[Dict[int, int]] = [{} for _ in seeds]
-    # one row per episode, in env.py's observation layout
-    batch = np.empty((len(seeds), 3 * len(scenario.datacenters)
-                      + len(scenario.slices)))
+    # one row per episode, as wide as the env's observation, so that
+    # greedy_actions checks each member's input width against it
+    batch = np.empty((len(seeds), envs[0].observation_size if envs else 0))
 
     def act(member: int, group: List[int], obs) -> List[int]:
         for row, i in enumerate(group):

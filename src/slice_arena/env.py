@@ -52,14 +52,15 @@ lifetime uniform per arriving request, drawn at arrival time). Two runs with
 the same scenario and seed therefore see identical traffic regardless of the
 admission decisions taken. The request draws are batched per slot: one call
 for the slot's 2n uniforms, read in request order as (power, lifetime)
-pairs, which yields the values of drawing them one at a time.
+pairs, which yields the values of drawing them one at a time. A request
+keeps both uniforms until it is decided; the lifetime is computed from its
+uniform only on admission.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
                     Sequence)
 
@@ -174,9 +175,6 @@ class ClusterState:
     def active_count(self, slice_id: str) -> int:
         return sum(1 for c in self.chains if c.slice_id == slice_id)
 
-    def total_power(self) -> float:
-        return sum(c.power for c in self.chains)
-
 
 class StepOutcome(NamedTuple):
     reward: float
@@ -210,7 +208,6 @@ class SliceEnv:
     def __init__(self, scenario: "ScenarioConfig", debug: bool = False) -> None:
         self.scenario = scenario
         self.debug = debug
-        self._priorities = {s.slice_id: s.priority for s in scenario.slices}
         self._slice_by_id = {s.slice_id: s for s in scenario.slices}
         n_resources = 3 * len(scenario.datacenters)
         # observation entry of each slice's pending fraction
@@ -237,7 +234,8 @@ class SliceEnv:
         )
         self.slot_log = []
         self._done = False
-        self._request_attrs = deque()  # (power_uniform, lifetime) aligned with pending
+        self._request_uniforms = deque()  # (power, lifetime) aligned with pending
+        self._power = 0  # of the live chains, summed left to right
         # per-slice chains in the ledger and requests in the pending deque
         self._active_counts = dict.fromkeys(self._slice_by_id, 0)
         self._pending_counts = dict.fromkeys(self._slice_by_id, 0)
@@ -268,25 +266,20 @@ class SliceEnv:
     def _draw_arrivals(self) -> None:
         assert self.state is not None
         self._current_stats = {s.slice_id: SliceSlotStats() for s in self.scenario.slices}
-        self._current_decisions = 0
-        self._admitted_this_slot = []
+        self._slot_bonus = 0  # starts where sum() starts
         self._penalties_this_slot = 0.0
         # numpy's array-argument poisson checks its parameter with array
         # reductions; a scalar call per slice is several times cheaper
         counts = [int(self._arrival_rng.poisson(s.arrival_mean))
                   for s in self.scenario.slices]
         uniforms = iter(self._request_rng.random(2 * sum(counts)).tolist())
-        pairs = zip(uniforms, uniforms)  # (power, lifetime) in request order
+        self._request_uniforms.extend(zip(uniforms, uniforms))  # in request order
         for spec, count in zip(self.scenario.slices, counts):
             self._current_stats[spec.slice_id].arrived = count
             if count:
                 self._pending_counts[spec.slice_id] += count
                 self._write_pending(spec.slice_id)
             self.state.pending.extend([spec.slice_id] * count)
-            p = spec.departure_prob
-            self._request_attrs.extend(
-                (u_power, _geometric_lifetime(u_life, p))
-                for u_power, u_life in islice(pairs, count))
 
     # ------------------------------------------------------------- inspection
 
@@ -341,9 +334,8 @@ class SliceEnv:
         self._pending_counts[slice_id] -= 1
         self._write_pending(slice_id)
         spec = self._slice_by_id[slice_id]
-        u_power, lifetime = self._request_attrs.popleft()
+        u_power, u_life = self._request_uniforms.popleft()
         stats = self._current_stats[slice_id]
-        self._current_decisions += 1
 
         reward = 0.0
         admitted = False
@@ -358,6 +350,7 @@ class SliceEnv:
                     and rem.cpu >= demand.cpu and rem.memory >= demand.memory
                     and rem.storage >= demand.storage):
                 lo, hi = self.scenario.datacenters[dc_index].power_range
+                lifetime = _geometric_lifetime(u_life, spec.departure_prob)
                 chain = Chain(
                     slice_id=slice_id,
                     dc_index=dc_index,
@@ -365,10 +358,11 @@ class SliceEnv:
                     depart_after=state.slot_index + lifetime - 1,
                 )
                 state.chains.append(chain)
+                self._power += chain.power
                 self._active_counts[slice_id] += 1
                 state.remaining[dc_index] = rem - demand
                 self._write_remaining(dc_index)
-                self._admitted_this_slot.append(slice_id)
+                self._slot_bonus += spec.priority
                 stats.admitted += 1
                 admitted = True
             else:
@@ -405,24 +399,20 @@ class SliceEnv:
         self._obs[self._pending_entry[slice_id]] = (
             min(count, PENDING_CAP) / PENDING_CAP)
 
-    def _phi_tot(self) -> float:
-        if self._always_on_power is not None:
-            return self._always_on_power
-        return self.state.total_power()
-
     def _settle_slot(self) -> float:
         """Close the current slot; returns the -cost contribution for the
         step that decided its last request (or crossed it, if it was empty)."""
         state = self.state
-        power = self._phi_tot()
-        bonus = sum(self._priorities[sid] for sid in self._admitted_this_slot)
-        cost = power - self.scenario.kappa * bonus
+        power = (self._power if self._always_on_power is None
+                 else self._always_on_power)
+        cost = power - self.scenario.kappa * self._slot_bonus
         self.slot_log.append(SlotRecord(
             slot=state.slot_index,
             power=power,
             cost=cost,
             reward=-cost - self._penalties_this_slot,
-            decisions=self._current_decisions,
+            # every arrival is decided within its own slot
+            decisions=sum(s.arrived for s in self._current_stats.values()),
             per_slice=self._current_stats,
         ))
         self._sample_departures()
@@ -445,6 +435,7 @@ class SliceEnv:
         remaining = state.remaining
         keep: List[Chain] = []
         freed = set()
+        power = 0  # the survivors' powers, summed left to right
         for chain in state.chains:
             if chain.depart_after <= state.slot_index:
                 remaining[chain.dc_index] = (
@@ -454,28 +445,35 @@ class SliceEnv:
                 self._active_counts[chain.slice_id] -= 1
             else:
                 keep.append(chain)
+                power += chain.power
         state.chains = keep
+        self._power = power
         for dc_index in freed:
             self._write_remaining(dc_index)
 
     def _check_conservation(self) -> None:
         state = self.state
-        for i, dc in enumerate(self.scenario.datacenters):
-            used = dc.capacity
-            for chain in state.chains:
-                if chain.dc_index == i:
-                    used = used - self._slice_by_id[chain.slice_id].demand
-            got = state.remaining[i].as_tuple()
-            want = used.as_tuple()
-            for g, w in zip(got, want):
-                if abs(g - w) > 1e-9:
-                    raise AssertionError(
-                        f"resource conservation violated on DC {dc.dc_id}: {got} != {want}")
+        free = [dc.capacity for dc in self.scenario.datacenters]
+        active = dict.fromkeys(self._active_counts, 0)
+        power = 0  # the ledger's left-to-right sum; the kept total must match
+        for chain in state.chains:
+            free[chain.dc_index] = (free[chain.dc_index]
+                                    - self._slice_by_id[chain.slice_id].demand)
+            active[chain.slice_id] += 1
+            power += chain.power
+        for dc, rem, want in zip(self.scenario.datacenters, state.remaining, free):
+            got, want = rem.as_tuple(), want.as_tuple()
+            if any(abs(g - w) > 1e-9 for g, w in zip(got, want)):
+                raise AssertionError(
+                    f"resource conservation violated on DC {dc.dc_id}: {got} != {want}")
+        if self._power != power:
+            raise AssertionError(
+                f"kept power total reads {self._power!r}, ledger sums to {power!r}")
         for slice_id, count in self._active_counts.items():
-            if count != state.active_count(slice_id):
+            if count != active[slice_id]:
                 raise AssertionError(
                     f"active counter of slice {slice_id} reads {count}, "
-                    f"ledger holds {state.active_count(slice_id)}")
+                    f"ledger holds {active[slice_id]}")
         for slice_id, count in self._pending_counts.items():
             if count != state.pending.count(slice_id):
                 raise AssertionError(

@@ -253,7 +253,6 @@ def train(env_factory: Callable[[], object], config: PpoConfig) -> TrainResult:
 
     obs = env.reset(int(episode_seeds.integers(2**63)))
     episode_return = 0.0
-    finished_returns: List[float] = []
     last_mean = math.nan
     curve: List[CurveRow] = []
 
@@ -279,7 +278,6 @@ def train(env_factory: Callable[[], object], config: PpoConfig) -> TrainResult:
             episode_return += outcome.reward
             if outcome.episode_done:
                 window_returns.append(episode_return)
-                finished_returns.append(episode_return)
                 episode_return = 0.0
                 obs = env.reset(int(episode_seeds.integers(2**63)))
             else:

@@ -321,16 +321,15 @@ def per_request_draw_arrivals(env):
     """SliceEnv._draw_arrivals drawn one value at a time: per slice in
     scenario order one poisson call on the arrival stream, then per request
     one power and one lifetime uniform call on the request stream. Fills
-    the slot's fields, the pending deque and the request attributes of env;
+    the slot's fields, the pending deque and the request uniforms of env;
     the pending counters are recounted from the deque, so they owe nothing
     to the batched method's bookkeeping. Bind it as _draw_arrivals on a
     SliceEnv subclass."""
-    from slice_arena.env import SliceSlotStats, _geometric_lifetime
+    from slice_arena.env import SliceSlotStats
 
     slices = env.scenario.slices
     env._current_stats = {s.slice_id: SliceSlotStats() for s in slices}
-    env._current_decisions = 0
-    env._admitted_this_slot = []
+    env._slot_bonus = 0
     env._penalties_this_slot = 0.0
     for spec in slices:
         count = int(env._arrival_rng.poisson(spec.arrival_mean))
@@ -339,8 +338,7 @@ def per_request_draw_arrivals(env):
             u_power = float(env._request_rng.uniform())
             u_life = float(env._request_rng.uniform())
             env.state.pending.append(spec.slice_id)
-            env._request_attrs.append(
-                (u_power, _geometric_lifetime(u_life, spec.departure_prob)))
+            env._request_uniforms.append((u_power, u_life))
     env._pending_counts = {s.slice_id: env.state.pending.count(s.slice_id)
                            for s in slices}
 

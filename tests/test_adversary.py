@@ -80,18 +80,16 @@ class TestForgedReward:
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.0] * 6 + [0.1, 0.1])  # nothing fits anywhere
         reward = adv.forged_reward(forged, decision=1,
-                                   demand_fraction=(0.1, 0.14, 0.006),
-                                   slot_final=False, admitted_priorities=(),
-                                   current_priority=2.0)
+                                   spec=paper_like.slices[0],
+                                   slot_final=False, earlier_bonus=0)
         assert reward == -150_000.0
 
     def test_midslot_feasible_placement_is_free(self, paper_like):
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.9] * 6 + [0.1, 0.1])
         reward = adv.forged_reward(forged, decision=2,
-                                   demand_fraction=(0.1, 0.14, 0.006),
-                                   slot_final=False, admitted_priorities=(),
-                                   current_priority=2.0)
+                                   spec=paper_like.slices[0],
+                                   slot_final=False, earlier_bonus=0)
         assert reward == 0.0
 
     def test_exact_fit_is_feasible(self, paper_like):
@@ -105,27 +103,26 @@ class TestForgedReward:
         # utilization 0.5 of the 16-chain 200-power ceiling: phi_hat = 1600
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.5] * 6 + [0.1, 0.1])
-        reward = adv.forged_reward(forged, decision=0, demand_fraction=None,
-                                   slot_final=True, admitted_priorities=(2.0, 3.0),
-                                   current_priority=3.0)
+        reward = adv.forged_reward(forged, decision=0,
+                                   spec=paper_like.slices[1],
+                                   slot_final=True, earlier_bonus=2.0 + 3.0)
         assert reward == pytest.approx(-(1600 - 1000 * 5))
 
     def test_slot_final_placement_counts_when_forged_feasible(self, paper_like):
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.5] * 6 + [0.1, 0.1])
+        # s2 (priority 3) needs (0.09375, 0.1, 0.01) of a DC
         reward = adv.forged_reward(forged, decision=1,
-                                   demand_fraction=(0.1, 0.1, 0.01),
-                                   slot_final=True, admitted_priorities=(2.0,),
-                                   current_priority=3.0)
+                                   spec=paper_like.slices[1],
+                                   slot_final=True, earlier_bonus=2.0)
         assert reward == pytest.approx(-(1600 - 1000 * 5))
 
     def test_slot_final_forged_infeasible_drops_and_penalizes(self, paper_like):
         adv = ForgeryAdversary(paper_like)
         forged = np.array([0.0] * 6 + [0.1, 0.1])
         reward = adv.forged_reward(forged, decision=1,
-                                   demand_fraction=(0.1, 0.1, 0.01),
-                                   slot_final=True, admitted_priorities=(2.0,),
-                                   current_priority=3.0)
+                                   spec=paper_like.slices[1],
+                                   slot_final=True, earlier_bonus=2.0)
         # phi_hat = 3200 at zero remaining; only the earlier admission counts
         assert reward == pytest.approx(-150_000.0 - (3200 - 1000 * 2))
 
@@ -141,13 +138,8 @@ class TestForgedReward:
         assert env.step(1).reward == -150_000.0
         adv = ForgeryAdversary(paper_like)
         forged = adv.forge_observation(StubRng(u=0.9))
-        cap = paper_like.datacenters[0].capacity
-        reward = adv.forged_reward(forged, decision=1,
-                                   demand_fraction=(spec.demand.cpu / cap.cpu,
-                                                    spec.demand.memory / cap.memory,
-                                                    spec.demand.storage / cap.storage),
-                                   slot_final=False, admitted_priorities=(),
-                                   current_priority=spec.priority)
+        reward = adv.forged_reward(forged, decision=1, spec=spec,
+                                   slot_final=False, earlier_bonus=0)
         assert reward == 0.0
 
 
@@ -262,7 +254,8 @@ class TestLeanWrapper:
     @staticmethod
     def side_by_side(scenario, probability, seed, script_seed=3):
         config = AttackConfig(attack_probability=probability, seed=seed)
-        lean = PoisonedEnv(SliceEnv(scenario), config)
+        # the lean side runs every counter check on every step
+        lean = PoisonedEnv(SliceEnv(scenario, debug=True), config)
         ref = PoisonedEnvReference(SliceEnv(scenario), config)
         np.testing.assert_array_equal(lean.reset(seed), ref.reset(seed))
         script = np.random.default_rng(script_seed)

@@ -455,7 +455,7 @@ def run_against_per_request_draws(scenario, seed, script_seed=5):
     steps = 0
     while not env.episode_done():
         assert list(env.state.pending) == list(ref.state.pending)
-        assert list(env._request_attrs) == list(ref._request_attrs)
+        assert list(env._request_uniforms) == list(ref._request_uniforms)
         decision = (first_fit(env) if script.random() < 0.7
                     else int(script.integers(0, env.n_actions)))
         got, want = env.step(decision), ref.step(decision)
@@ -531,6 +531,16 @@ class TestCounters:
         env.reset(hunt_seed(env, 12))
         getattr(env, counter)[paper_cfg.slices[-1].slice_id] += 1
         with pytest.raises(AssertionError, match=message):
+            env.step(REJECT)
+
+    def test_nudged_power_total_raises(self, paper_cfg):
+        # the kept total must be the ledger's sum bit for bit: a nudge of
+        # one unit in the last place is caught
+        env = SliceEnv(paper_cfg, debug=True)
+        env.reset(hunt_seed(env, 12))
+        assert env.step(first_fit(env)).admitted  # the cluster starts empty
+        env._power = math.nextafter(env._power, math.inf)
+        with pytest.raises(AssertionError, match="kept power total"):
             env.step(REJECT)
 
 
