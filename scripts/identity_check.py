@@ -3,7 +3,7 @@
 
     python3 scripts/identity_check.py REV
 
-Unpacks ``git archive REV`` into a temporary directory, then runs ten
+Unpacks ``git archive REV`` into a temporary directory, then runs eleven
 probes on that tree and on the working tree:
 
 * ``compare``: all five scenarios on the bundled paper.cfg (20 seeds, attack
@@ -30,7 +30,10 @@ probes on that tree and on the working tree:
 * ``checkpoint-io``: every checkpoint in the working tree's perfbench/inputs
   (the two single models with ``load_checkpoint``/``save_checkpoint``, the
   ensemble with ``load_ensemble``/``save_ensemble``) loaded and saved again;
-  the SHA-256 of every written file.
+  the SHA-256 of every written file;
+* ``config``: the ``repr`` of paper.cfg's ``ScenarioConfig``, and for each
+  of twelve malformed copies of paper.cfg, one per error the loader raises,
+  the exception's type and message.
 
 Where a second CPU is usable and the platform can fork, the first four
 probes take the two-process paths: ``run_scenario`` runs the second half of
@@ -73,8 +76,23 @@ ONE_CPU = "-1cpu"
 CAPPED_CHAINS = 20
 ENSEMBLE_SEED = 3
 PROBES = ("compare", "sweep", "optimal-cap", "train", "ensemble",
-          "overprovision", "checkpoint-io", "compare" + ONE_CPU,
+          "overprovision", "checkpoint-io", "config", "compare" + ONE_CPU,
           "sweep" + ONE_CPU, "train" + ONE_CPU)
+# paper.cfg with its first `old` made `new`: one text per loader error
+MALFORMED = {
+    "unknown-global-key": ("kappa = 1000", "kappa = 1000\nbogus = 1"),
+    "unknown-datacenter-key": ("power_high = 200", "power_high = 200\nrack = 3"),
+    "unknown-slice-key": ("delay_budget = 1.07", "delay_budget = 1.07\nrack = 9"),
+    "bad-section-header": ("[datacenter dc2]", "[warehouse dc2]"),
+    "missing-equals": ("horizon = 200", "horizon 200"),
+    "duplicate-key": ("cpu = 32", "cpu = 32\ncpu = 16"),
+    "duplicate-id": ("[slice s2]", "[slice s1]"),
+    "non-number": ("memory = 50", "memory = lots"),
+    "non-finite": ("m_penalty = 150000", "m_penalty = inf"),
+    "empty-seed-range": ("seeds = 101:120", "seeds = 120:101"),
+    "missing-required-key": ("priority = 3\n", ""),
+    "out-of-range": ("departure_prob = 0.3", "departure_prob = 1.3"),
+}
 
 
 def sha256(path: Path) -> str:
@@ -152,6 +170,16 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
         sa.save_ensemble(spec, out / "ensemble")
         written += [out / "ensemble" / f"member_{i}.ckpt" for i in range(len(spec))]
         return {f"checkpoint-io/{p.relative_to(out)}": sha256(p) for p in written}
+    if name == "config":
+        text = Path(sa.paper_config_path()).read_text(encoding="utf-8")
+        found = {"config/paper.cfg": repr(config)}
+        for case, (old, new) in MALFORMED.items():
+            try:
+                found[f"config/{case}"] = repr(sa.parse_config(
+                    text.replace(old, new, 1), "paper.cfg"))
+            except ValueError as err:
+                found[f"config/{case}"] = f"{type(err).__name__}: {err}"
+        return found
     study = sa.overprovision_study_scenario(config)
     base = sa.estimate_vnf_count(study.slices[0].profile)
     return {f"overprovision/M={m}": repr(sa.overprovision_power_ratio(base, m, study))

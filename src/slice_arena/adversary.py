@@ -48,6 +48,8 @@ class AttackConfig:
         if not 0.0 <= self.attack_probability <= 1.0:
             raise ValueError(
                 f"attack_probability must lie in [0, 1], got {self.attack_probability!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 class ForgeryAdversary:

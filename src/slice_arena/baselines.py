@@ -47,7 +47,7 @@ from .env import ClusterState, DataCenterSpec, REJECT, SliceSpec
 _SLACK = 1e-9
 
 
-def random_policy_decision(state: ClusterState, slice_spec: SliceSpec, rng) -> int:
+def random_policy_decision(state: ClusterState, rng) -> int:
     """Uniform over {REJECT, DC 1..N}; no feasibility lookahead."""
     return int(rng.integers(0, len(state.remaining) + 1))
 

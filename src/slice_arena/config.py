@@ -11,7 +11,8 @@ Global keys (all optional):
     m_penalty       infeasible-placement penalty, default 1000
     horizon         slots per episode, default 200
     power_mode      "utilization" (default) or "always_on"
-    seeds           "101:120" inclusive range or comma list, default 1:20
+    seeds           "101:120" inclusive range or comma list, default 1:20;
+                    seeds must be distinct and >= 0, one episode each
     arrival_sweep   comma list of per-slice arrival means, default 2,4,6,8,10,12
 
 Per-datacenter keys (required): cpu, memory, storage, power_low, power_high.
@@ -21,6 +22,11 @@ profile_arrival_rate, profile_service_rate, delay_budget are required;
 chain_capacity is optional and defaults to the dimensioned VNF count of the
 slice's traffic profile, tying the slot-level concurrency cap to the
 large-timescale sizing step.
+
+Every number must be finite; horizon, chain_capacity and the seeds are
+ints. One table, _KEYS, lists each section kind's keys with their parsers.
+Sections are read top to bottom and each section's lines in order, so the
+first malformed line is the one reported.
 """
 from __future__ import annotations
 
@@ -86,6 +92,10 @@ class ScenarioConfig:
                 "power_mode", f"must be one of {POWER_MODES}, got {self.power_mode!r}")
         if not self.seeds:
             raise ConfigValidationError("seeds", "at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigValidationError("seeds", f"a seed is repeated in {self.seeds!r}")
+        if min(self.seeds) < 0:
+            raise ConfigValidationError("seeds", f"seeds must be >= 0, got {min(self.seeds)!r}")
         if not self.arrival_sweep:
             raise ConfigValidationError("arrival_sweep", "at least one arrival mean is required")
         if not all(math.isfinite(a) and a > 0.0 for a in self.arrival_sweep):
@@ -99,18 +109,52 @@ class ScenarioConfig:
             raise ConfigValidationError("slices", f"duplicate slice ids in {ids}")
 
 
-_GLOBAL_KEYS = {"kappa", "m_penalty", "horizon", "power_mode", "seeds", "arrival_sweep"}
-_DC_KEYS = {"cpu", "memory", "storage", "power_low", "power_high"}
-_SLICE_REQUIRED = {"priority", "cpu", "memory", "storage", "arrival_mean", "departure_prob",
-                   "profile_arrival_rate", "profile_service_rate", "delay_budget"}
-_SLICE_KEYS = _SLICE_REQUIRED | {"chain_capacity"}
+def _number(kind):
+    """The parser of one finite float or int, which names the text it got."""
+    def parse(raw: str):
+        raw = raw.strip()
+        try:
+            number = kind(raw)
+        except ValueError:
+            raise ValueError(f"expected {kind.__name__}, got {raw!r}") from None
+        if not math.isfinite(number):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return number
+    return parse
+
+
+_FLOAT, _INT = _number(float), _number(int)
+
+
+def _seeds(raw: str) -> Tuple[int, ...]:
+    if ":" not in raw:
+        return tuple(map(_INT, raw.split(",")))
+    lo, hi = map(_INT, raw.split(":", 1))
+    if hi < lo:
+        raise ValueError(f"seed range {raw!r} is empty")
+    return tuple(range(lo, hi + 1))
+
+
+# every key of each section kind, with its parser; the global keys are
+# ScenarioConfig's own fields and, with chain_capacity, the optional ones
+_KEYS = {
+    "global": {"kappa": _FLOAT, "m_penalty": _FLOAT, "horizon": _INT,
+               "power_mode": str, "seeds": _seeds,
+               "arrival_sweep": lambda raw: tuple(map(_FLOAT, raw.split(",")))},
+    "datacenter": dict.fromkeys(
+        ("cpu", "memory", "storage", "power_low", "power_high"), _FLOAT),
+    "slice": {**dict.fromkeys(
+        ("priority", "cpu", "memory", "storage", "arrival_mean", "departure_prob",
+         "profile_arrival_rate", "profile_service_rate", "delay_budget"), _FLOAT),
+              "chain_capacity": _INT},
+}
+_OPTIONAL = {*_KEYS["global"], "chain_capacity"}
 
 
 @dataclass
 class _Section:
     kind: str  # "global", "datacenter", "slice"
     name: str
-    line: int
     entries: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
 
@@ -122,47 +166,57 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
-    sections = _split_sections(text, source)
-    globals_sec = sections[0]
-    for key, (_, line) in globals_sec.entries.items():
-        if key not in _GLOBAL_KEYS:
-            raise ConfigParseError(source, line, f"unknown global key {key!r}")
-
+    globals_sec, *sections = _split_sections(text, source)
+    settings = _values(globals_sec, source)
     datacenters: List[DataCenterSpec] = []
     slices: List[SliceSpec] = []
-    for sec in sections[1:]:
-        if sec.kind == "datacenter":
-            datacenters.append(_build_datacenter(sec, source))
-        else:
-            slices.append(_build_slice(sec, source))
+    for sec in sections:
+        v = _values(sec, source)
+        try:
+            if sec.kind == "datacenter":
+                datacenters.append(DataCenterSpec(
+                    dc_id=sec.name,
+                    capacity=ResourceVector(v["cpu"], v["memory"], v["storage"]),
+                    power_range=(v["power_low"], v["power_high"])))
+                continue
+            profile = TrafficProfile(mean_arrival_rate=v["profile_arrival_rate"],
+                                     mean_service_rate=v["profile_service_rate"],
+                                     delay_budget=v["delay_budget"])
+            if "chain_capacity" not in v:
+                v["chain_capacity"] = estimate_vnf_count(profile).vnf_count
+            slices.append(SliceSpec(
+                slice_id=sec.name, priority=v["priority"],
+                demand=ResourceVector(v["cpu"], v["memory"], v["storage"]),
+                profile=profile, arrival_mean=v["arrival_mean"],
+                departure_prob=v["departure_prob"],
+                chain_capacity=v["chain_capacity"]))
+        except ValueError as exc:  # the spec's own validation
+            raise ConfigValidationError(f"{sec.kind} {sec.name}", str(exc)) from exc
+    return ScenarioConfig(datacenters=tuple(datacenters), slices=tuple(slices),
+                          **settings)
 
-    kwargs = {}
-    if "kappa" in globals_sec.entries:
-        kwargs["kappa"] = _as_float(globals_sec, "kappa", source)
-    if "m_penalty" in globals_sec.entries:
-        kwargs["m_penalty"] = _as_float(globals_sec, "m_penalty", source)
-    if "horizon" in globals_sec.entries:
-        kwargs["horizon"] = _as_int(globals_sec, "horizon", source)
-    if "power_mode" in globals_sec.entries:
-        kwargs["power_mode"] = globals_sec.entries["power_mode"][0]
-    if "seeds" in globals_sec.entries:
-        kwargs["seeds"] = _parse_seeds(*globals_sec.entries["seeds"], source)
-    if "arrival_sweep" in globals_sec.entries:
-        raw, line = globals_sec.entries["arrival_sweep"]
-        kwargs["arrival_sweep"] = tuple(
-            _parse_number(v, source, line, float) for v in raw.split(","))
 
-    try:
-        return ScenarioConfig(datacenters=tuple(datacenters), slices=tuple(slices), **kwargs)
-    except ConfigValidationError:
-        raise
-    except ValueError as exc:
-        # nested spec validation (SliceSpec / DataCenterSpec post-init)
-        raise ConfigValidationError("scenario", str(exc)) from exc
+def _values(sec: _Section, source: str) -> Dict[str, object]:
+    """The section's parsed values by key, walked in file order: an unknown
+    key or a bad value raises at its line, then any missing required key."""
+    parsers = _KEYS[sec.kind]
+    values = {}
+    for key, (raw, line) in sec.entries.items():
+        if key not in parsers:
+            raise ConfigParseError(source, line, f"unknown {sec.kind} key {key!r}")
+        try:
+            values[key] = parsers[key](raw)
+        except ValueError as exc:
+            raise ConfigParseError(source, line, str(exc)) from None
+    missing = sorted(parsers.keys() - _OPTIONAL - values.keys())
+    if missing:
+        raise ConfigValidationError(
+            f"{sec.kind} {sec.name}", f"missing required keys: {', '.join(missing)}")
+    return values
 
 
 def _split_sections(text: str, source: str) -> List[_Section]:
-    sections = [_Section(kind="global", name="", line=0)]
+    sections = [_Section(kind="global", name="")]
     current = sections[0]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -176,107 +230,16 @@ def _split_sections(text: str, source: str) -> List[_Section]:
                 raise ConfigParseError(
                     source, lineno,
                     f"section header must be [datacenter <id>] or [slice <id>], got {raw.strip()!r}")
-            current = _Section(kind=parts[0], name=parts[1], line=lineno)
+            current = _Section(kind=parts[0], name=parts[1])
             sections.append(current)
             continue
         if "=" not in line:
             raise ConfigParseError(source, lineno, f"expected key = value, got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigParseError(source, lineno, f"expected key = value, got {raw.strip()!r}")
         if key in current.entries:
             raise ConfigParseError(source, lineno, f"duplicate key {key!r}")
         current.entries[key] = (value, lineno)
     return sections
-
-
-def _build_datacenter(sec: _Section, source: str) -> DataCenterSpec:
-    _check_keys(sec, _DC_KEYS, _DC_KEYS, source)
-    try:
-        return DataCenterSpec(
-            dc_id=sec.name,
-            capacity=ResourceVector(
-                cpu=_as_float(sec, "cpu", source),
-                memory=_as_float(sec, "memory", source),
-                storage=_as_float(sec, "storage", source),
-            ),
-            power_range=(_as_float(sec, "power_low", source),
-                         _as_float(sec, "power_high", source)),
-        )
-    except ValueError as exc:
-        if isinstance(exc, (ConfigParseError, ConfigValidationError)):
-            raise
-        raise ConfigValidationError(f"datacenter {sec.name}", str(exc)) from exc
-
-
-def _build_slice(sec: _Section, source: str) -> SliceSpec:
-    _check_keys(sec, _SLICE_KEYS, _SLICE_REQUIRED, source)
-    try:
-        profile = TrafficProfile(
-            mean_arrival_rate=_as_float(sec, "profile_arrival_rate", source),
-            mean_service_rate=_as_float(sec, "profile_service_rate", source),
-            delay_budget=_as_float(sec, "delay_budget", source),
-        )
-        if "chain_capacity" in sec.entries:
-            capacity = _as_int(sec, "chain_capacity", source)
-        else:
-            capacity = estimate_vnf_count(profile).vnf_count
-        return SliceSpec(
-            slice_id=sec.name,
-            priority=_as_float(sec, "priority", source),
-            demand=ResourceVector(
-                cpu=_as_float(sec, "cpu", source),
-                memory=_as_float(sec, "memory", source),
-                storage=_as_float(sec, "storage", source),
-            ),
-            profile=profile,
-            arrival_mean=_as_float(sec, "arrival_mean", source),
-            departure_prob=_as_float(sec, "departure_prob", source),
-            chain_capacity=capacity,
-        )
-    except ValueError as exc:
-        if isinstance(exc, (ConfigParseError, ConfigValidationError)):
-            raise
-        raise ConfigValidationError(f"slice {sec.name}", str(exc)) from exc
-
-
-def _check_keys(sec: _Section, allowed: set, required: set, source: str) -> None:
-    for key, (_, line) in sec.entries.items():
-        if key not in allowed:
-            raise ConfigParseError(source, line, f"unknown {sec.kind} key {key!r}")
-    missing = sorted(required - set(sec.entries))
-    if missing:
-        raise ConfigValidationError(
-            f"{sec.kind} {sec.name}", f"missing required keys: {', '.join(missing)}")
-
-
-def _as_float(sec: _Section, key: str, source: str) -> float:
-    value, line = sec.entries[key]
-    return _parse_number(value, source, line, float)
-
-
-def _as_int(sec: _Section, key: str, source: str) -> int:
-    value, line = sec.entries[key]
-    return _parse_number(value, source, line, int)
-
-
-def _parse_number(value: str, source: str, line: int, kind) -> float:
-    try:
-        number = kind(value.strip())
-    except ValueError:
-        raise ConfigParseError(source, line, f"expected {kind.__name__}, got {value.strip()!r}") from None
-    if not math.isfinite(number):
-        raise ConfigParseError(source, line, f"expected a finite number, got {value.strip()!r}")
-    return number
-
-
-def _parse_seeds(raw: str, line: int, source: str) -> Tuple[int, ...]:
-    raw = raw.strip()
-    if ":" in raw:
-        lo_s, hi_s = raw.split(":", 1)
-        lo = _parse_number(lo_s, source, line, int)
-        hi = _parse_number(hi_s, source, line, int)
-        if hi < lo:
-            raise ConfigParseError(source, line, f"seed range {raw!r} is empty")
-        return tuple(range(lo, hi + 1))
-    return tuple(_parse_number(v, source, line, int) for v in raw.split(","))

@@ -219,8 +219,8 @@ def run_random(scenario: ScenarioConfig, seeds: Sequence[int],
     envs = [SliceEnv(scenario) for _ in seeds]
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         (int(seed), _STREAM_RANDOM_POLICY)))) for seed in seeds]
-    run_episodes(envs, seeds, lambda live, _: [random_policy_decision(
-        envs[i].state, envs[i].current_request_slice(), rngs[i]) for i in live])
+    run_episodes(envs, seeds, lambda live, _: [
+        random_policy_decision(envs[i].state, rngs[i]) for i in live])
     return [EpisodeRecord(scenario=label, seed=int(seed),
                           slot_log=list(env.slot_log))
             for seed, env in zip(seeds, envs)]
@@ -307,8 +307,11 @@ def _run_loaded(name: str, runner: Callable, config: ScenarioConfig,
                 seeds: Optional[Sequence[int]], attack: Optional[AttackConfig],
                 label: Optional[str]) -> ScenarioResult:
     """run_scenario with its runner made: run it on seeds, on two
-    processes when it can, and aggregate the records once."""
-    seeds = tuple(int(s) for s in (config.seeds if seeds is None else seeds))
+    processes when it can, and aggregate the records once. Caller-given
+    seeds must pass the config's seed rule (one or more, distinct, >= 0)."""
+    if seeds is not None:
+        config = dataclasses.replace(config, seeds=tuple(seeds))
+    seeds = tuple(int(s) for s in config.seeds)
     run = functools.partial(
         runner, config,
         attack=attack if attack is not None else AttackConfig(),

@@ -78,6 +78,8 @@ class PpoConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass

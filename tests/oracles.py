@@ -261,8 +261,7 @@ def random_episodes_reference(scenario, seeds):
         env = SliceEnv(scenario)
         env.reset(int(seed))
         while not env.episode_done():
-            env.step(random_policy_decision(
-                env.state, env.current_request_slice(), rng))
+            env.step(random_policy_decision(env.state, rng))
         logs.append(list(env.slot_log))
     return logs
 

@@ -11,9 +11,8 @@ meet: each slice may run at most 8 chains, which depart with probability
 0.3 per slot, so it admits at most 8 x 0.3 = 2.4 of its 6 arrivals per
 slot, capping any policy's admission near 0.40 (the data centers are not
 the limit: 16 chains fit in 40/64 CPU and 96/100 memory), and the
-observation-forgery attack at probability 0.25 cannot
-remove more than the attacked quarter of decisions from a converged
-policy. Those tests are kept at full strength and fail honestly with
+observation-forgery attack at probability 0.25 replaces resource
+channels that the trained policy barely reads. Those tests are kept at full strength and fail honestly with
 the measured values in their messages rather than being weakened to
 pass.
 """
@@ -149,11 +148,13 @@ def test_criterion_05_attack_halves_admission(comparison):
     attacked = results["ppo-attacked"].aggregate.admission_rate
     assert attacked <= 0.5 * clean, (
         f"attacked/clean admission ratio is {attacked / clean:.3f} "
-        f"({attacked:.4f} vs {clean:.4f}); forged observations are "
-        f"off-distribution (true storage headroom stays near 0.99 while "
-        f"forged entries are uniform), so training learns to ignore or "
-        f"reject them and the damage is bounded by the attacked quarter "
-        f"of decisions - a converged policy cannot lose 50%")
+        f"({attacked:.4f} vs {clean:.4f}). The forgery replaces the "
+        f"observation's resource channels, and greedy PPO barely reads "
+        f"them: on seeds 101-108 at p = 0.25 the clean model, never trained "
+        f"on forgeries, admits 0.2059 on true observations, 0.2390 under "
+        f"the uniform forgery, 0.2076 under a forged full cluster and "
+        f"0.2426 under a forged empty one, so forging them cannot halve "
+        f"its admission")
 
 
 def test_criterion_06_ensemble_recovers(comparison):

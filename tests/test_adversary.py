@@ -158,6 +158,8 @@ class TestPoisonedEnv:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="attack_probability"):
             AttackConfig(attack_probability=1.2)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            AttackConfig(seed=-1)
 
     def test_true_evolution_untouched(self, paper_like):
         bare = SliceEnv(paper_like)

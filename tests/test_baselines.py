@@ -32,27 +32,24 @@ def two_dcs():
 class TestRandomPolicy:
     def test_uniform_over_three_options(self):
         state = cluster([rv(32, 50, 5000), rv(32, 50, 5000)])
-        spec = make_slice()
         rng = np.random.default_rng(0)
-        draws = np.array([random_policy_decision(state, spec, rng)
+        draws = np.array([random_policy_decision(state, rng)
                           for _ in range(30_000)])
         for option in (0, 1, 2):
             assert abs((draws == option).mean() - 1 / 3) < 0.02
 
     def test_seeded_reproducible(self):
         state = cluster([rv(1, 1, 1)])
-        spec = make_slice()
-        a = [random_policy_decision(state, spec, np.random.default_rng(5))
+        a = [random_policy_decision(state, np.random.default_rng(5))
              for _ in range(1)]
-        b = [random_policy_decision(state, spec, np.random.default_rng(5))
+        b = [random_policy_decision(state, np.random.default_rng(5))
              for _ in range(1)]
         assert a == b
 
     def test_no_datacenters_always_rejects(self):
         state = cluster([])
-        spec = make_slice()
         rng = np.random.default_rng(1)
-        assert all(random_policy_decision(state, spec, rng) == 0
+        assert all(random_policy_decision(state, rng) == 0
                    for _ in range(50))
 
 

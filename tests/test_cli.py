@@ -127,6 +127,14 @@ class TestConfigErrors:
         assert code == 1
         assert "departure_prob" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_before_running(self, tiny_cfg_path,
+                                                   tmp_path, capsys):
+        code = main(["compare", "--seed", "-1", "--config", tiny_cfg_path,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "compare").exists()
+
     def test_nonexistent_config_file(self, tmp_path, capsys):
         code = main(["eval", "--scenario", "random",
                      "--config", str(tmp_path / "nope.cfg"),

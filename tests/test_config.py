@@ -160,6 +160,12 @@ class TestValidation:
         with pytest.raises(ConfigValidationError):
             parse_config(dup)
 
+    @pytest.mark.parametrize("seeds", ["-2:1", "1, 1, 2"])
+    def test_negative_or_repeated_seeds_named(self, seeds):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(f"seeds = {seeds}\n" + MINIMAL)
+        assert err.value.field_name == "seeds"
+
     def test_bad_power_mode(self):
         with pytest.raises(ConfigValidationError) as err:
             parse_config("power_mode = solar\n" + MINIMAL)

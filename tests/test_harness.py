@@ -490,6 +490,21 @@ class TestCheckpointLoads:
             sweep(config, scenarios=("ppo-clean",), seeds=SEEDS,
                   artifacts=None)
 
+    @pytest.mark.parametrize("seeds", [(11, 11, 12), (11, -1), ()])
+    def test_bad_seeds_rejected_before_running(self, small_cfg, artifacts,
+                                               monkeypatch, seeds):
+        def never(*args):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(harness, "run_random", never)
+        monkeypatch.setattr(harness, "run_optimal", never)
+        for call in (lambda: run_scenario("random", small_cfg, seeds=seeds),
+                     lambda: sweep(small_cfg, ("random",), seeds=seeds),
+                     lambda: compare(small_cfg, artifacts, seeds=seeds)):
+            with pytest.raises(ConfigValidationError) as err:
+                call()
+            assert err.value.field_name == "seeds"
+
     def test_sweep_rejects_empty_scenario_list(self, small_cfg):
         with pytest.raises(ValueError, match="no scenario"):
             sweep(small_cfg, scenarios=(), seeds=SEEDS)

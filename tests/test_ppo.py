@@ -240,6 +240,7 @@ class TestValidation:
         {"learning_rate": -1e-4},
         {"hidden_sizes": ()},
         {"hidden_sizes": (64, 0)},
+        {"seed": -1},
     ])
     def test_config_rejects(self, kwargs):
         with pytest.raises(ValueError):
