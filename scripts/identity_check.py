@@ -3,7 +3,7 @@
 
     python3 scripts/identity_check.py REV
 
-Unpacks ``git archive REV`` into a temporary directory, then runs eleven
+Unpacks ``git archive REV`` into a temporary directory, then runs twelve
 probes on that tree and on the working tree:
 
 * ``compare``: all five scenarios on the bundled paper.cfg (20 seeds, attack
@@ -19,6 +19,11 @@ probes on that tree and on the working tree:
   on the config's first 5 seeds; the SHA-256 of metrics.csv;
 * ``train``: ``train_single_models`` at seed 3 and 6,144 steps per model;
   the SHA-256 of both checkpoints;
+* ``train-wide``: ``ppo.train`` through ``PoisonedEnv`` (attack seed 3) on
+  paper.cfg at seed 3, 128-wide hidden layers, 300 steps per update,
+  minibatches of 50 and 900 steps, then ``save_checkpoint``; the SHA-256
+  of the checkpoint. It covers a width and a rollout length that is no
+  multiple of 128, which ``train`` (64 wide, 2,048 steps) does not;
 * ``ensemble``: ``train_ensemble`` on paper.cfg with
   ``default_member_configs(3, 2048)`` and the attack at seed 3, then
   ``save_ensemble``; the SHA-256 of the manifest and of every member
@@ -75,7 +80,7 @@ INPUTS = ROOT / "perfbench" / "inputs"
 ONE_CPU = "-1cpu"
 CAPPED_CHAINS = 20
 ENSEMBLE_SEED = 3
-PROBES = ("compare", "sweep", "optimal-cap", "train", "ensemble",
+PROBES = ("compare", "sweep", "optimal-cap", "train", "train-wide", "ensemble",
           "overprovision", "checkpoint-io", "config", "compare" + ONE_CPU,
           "sweep" + ONE_CPU, "train" + ONE_CPU)
 # paper.cfg with its first `old` made `new`: one text per loader error
@@ -146,6 +151,14 @@ def probe(name: str, tree: Path, scratch: Path) -> dict:
                                        total_env_steps=6_144)
         no_worker_left("train_single_models")
         return {f"{tag}/{Path(p).name}": sha256(Path(p)) for p in paths}
+    if name == "train-wide":
+        ppo_config = sa.PpoConfig(hidden_sizes=(128, 128), steps_per_update=300,
+                                  minibatch_size=50, total_env_steps=900, seed=3)
+        result = sa.ppo.train(lambda: sa.PoisonedEnv(
+            sa.SliceEnv(config), sa.AttackConfig(seed=3)), ppo_config)
+        path = scratch / "train-wide.ckpt"
+        sa.save_checkpoint(result.params, str(path))
+        return {f"{tag}/{path.name}": sha256(path)}
     if name == "ensemble":
         spec = sa.train_ensemble(
             config, sa.default_member_configs(ENSEMBLE_SEED, 2_048),

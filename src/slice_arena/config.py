@@ -117,7 +117,7 @@ def _number(kind):
             number = kind(raw)
         except ValueError:
             raise ValueError(f"expected {kind.__name__}, got {raw!r}") from None
-        if not math.isfinite(number):
+        if not math.isfinite(float(raw)):  # an int too large for a float is inf
             raise ValueError(f"expected a finite number, got {raw!r}")
         return number
     return parse

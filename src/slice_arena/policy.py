@@ -8,6 +8,9 @@ chain rule for this fixed family, and every gradient path is pinned by
 finite-difference tests. greedy_actions runs the actor alone and returns,
 per row, the argmax of its logits, lowest index on a tie: softmax keeps the
 order of the logits, so that is the greedy action without the softmax.
+A training rollout draws with act (the actor alone) and gets its values
+from state_values; the batch-1 policy_forward, PolicyOutput and
+sample_action stay for the bootstrap value, the benchmark and the tests.
 tanh is the only hidden activation, and Adam's beta1, beta2 and epsilon
 are AdamOptimizer class constants.
 
@@ -50,6 +53,7 @@ from .env import OBS_LAYOUT_VERSION
 
 CHECKPOINT_MAGIC = "SLICE-ARENA-PPO v1"
 _TINY = 1e-300
+_CRITIC_CHUNK = 128  # bounds state_values' scratch activations
 
 
 class DimensionMismatchError(ValueError):
@@ -157,12 +161,16 @@ def init_parameters(observation_size: int, n_actions: int,
 # ---------------------------------------------------------------- forward
 
 def _forward_stack(stack, x: np.ndarray):
-    """x is (batch, in). Returns (pre-head activations list, head output)."""
+    """x is (batch, in) or (batch, 1, in). Returns (pre-head activations, head)."""
     hs = [x]
     for w, b in stack[:-1]:
-        hs.append(np.tanh(hs[-1] @ w.T + b))
+        h = hs[-1] @ w.T
+        h += b
+        hs.append(np.tanh(h, out=h))
     w, b = stack[-1]
-    return hs, hs[-1] @ w.T + b
+    head = hs[-1] @ w.T
+    head += b
+    return hs, head
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -207,14 +215,18 @@ def greedy_actions(params: MlpParameters, observations: np.ndarray) -> List[int]
     return logits.argmax(axis=1).tolist()
 
 
+def _action_probabilities(params: MlpParameters, x: np.ndarray) -> np.ndarray:
+    z = _forward_stack(params.actor, x)[1][0]
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
 def policy_forward(params: MlpParameters, observation: np.ndarray) -> PolicyOutput:
     """forward_batch at batch 1, bit for bit, without the backward cache."""
     x = _checked_input(params, np.asarray(observation)[None, :])
-    _, logits = _forward_stack(params.actor, x)
     _, value = _forward_stack(params.critic, x)
-    z = logits[0]
-    e = np.exp(z - z.max())
-    return PolicyOutput(action_probabilities=e / e.sum(), state_value=float(value[0, 0]))
+    return PolicyOutput(action_probabilities=_action_probabilities(params, x),
+                        state_value=float(value[0, 0]))
 
 
 def sample_action(output: PolicyOutput, rng: np.random.Generator) -> Tuple[int, float]:
@@ -225,6 +237,24 @@ def sample_action(output: PolicyOutput, rng: np.random.Generator) -> Tuple[int, 
     action = next((i for i, total in enumerate(itertools.accumulate(p.tolist()))
                    if total > u), p.size - 1)
     return action, float(np.log(max(p[action], _TINY)))
+
+
+def act(params: MlpParameters, row: np.ndarray, rng: np.random.Generator) -> Tuple[int, float]:
+    """sample_action(policy_forward(params, row[0]), rng), bit for bit, from
+    the actor alone and unchecked: row is a (1, in) float64 array."""
+    return sample_action(PolicyOutput(_action_probabilities(params, row), math.nan), rng)
+
+
+def state_values(params: MlpParameters, observations: np.ndarray) -> np.ndarray:
+    """policy_forward's state_value of every row of observations, bit for
+    bit: the rows pass as (_CRITIC_CHUNK, 1, in) stacks, so the matmul makes
+    the batch-1 product per row, where a 2-D batch would round differently."""
+    x = _checked_input(params, observations)
+    values = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _CRITIC_CHUNK):
+        _, head = _forward_stack(params.critic, x[start:start + _CRITIC_CHUNK, None, :])
+        values[start:start + _CRITIC_CHUNK] = head[:, 0, 0]
+    return values
 
 
 # ---------------------------------------------------------------- backward
@@ -241,7 +271,9 @@ def _backward_stack(stack, hs, d_head: np.ndarray, grads) -> None:
             g_w[...] = delta.T @ hs[i]
         delta.sum(axis=0, out=g_b)
         if i > 0:
-            delta = (delta @ stack[i][0]) * (1.0 - hs[i] * hs[i])
+            slope = hs[i] * hs[i]
+            delta = delta @ stack[i][0]
+            delta *= np.subtract(1.0, slope, out=slope)  # tanh' = 1 - h^2
 
 
 @functools.cache

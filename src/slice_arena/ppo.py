@@ -20,8 +20,16 @@ hand-derived backward pass; the per-sample chain-rule weights are
     d loss / d H      = -entropy_coeff
 
 Training starts from init_parameters at the config's seed and hidden sizes.
-A minibatch makes one forward_batch (its cache holds the log probabilities
-and entropies), one backward_batch (one flat gradient vector) and one fused
+A rollout step shape-tests the observation, writes it into its buffer row
+and draws from the actor alone on that (1, in) row (policy.act). After the
+last step, policy.state_values checks the whole buffer for finiteness (so a
+non-finite observation raises ValueError at the end of its rollout, before
+any update) and fills the values in one critic pass over (chunk, 1, in)
+stacks of the rows: a stacked matmul makes the batch-1 product per row, so
+values, log-probabilities and checkpoints keep the bits of one batch-1
+policy_forward per step, which the bootstrap value still uses. A minibatch
+makes one forward_batch (its cache holds the log probabilities and
+entropies), one backward_batch (one flat gradient vector) and one fused
 AdamOptimizer.step. Callees are looked up as module attributes at call time,
 so a per-layer tracer can wrap them.
 """
@@ -33,9 +41,9 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .policy import (AdamOptimizer, MlpParameters, backward_batch,
-                     forward_batch, init_parameters, policy_forward,
-                     sample_action)
+from .policy import (AdamOptimizer, DimensionMismatchError, MlpParameters, act,
+                     backward_batch, forward_batch, init_parameters,
+                     policy_forward, state_values)
 
 _STREAM_ACTIONS = 55
 _STREAM_SHUFFLE = 56
@@ -235,8 +243,8 @@ def train(env_factory: Callable[[], object], config: PpoConfig) -> TrainResult:
     """Run total_env_steps of interaction with PPO updates every
     steps_per_update steps. Deterministic for a given config.
 
-    The factory's environments must expose reset(seed) -> observation,
-    step(action) -> StepOutcome, and observation_size / n_actions.
+    The factory's environments must expose reset(seed) -> observation
+    array, step(action) -> StepOutcome, and observation_size / n_actions.
     """
     env = env_factory()
     params = init_parameters(env.observation_size, env.n_actions,
@@ -262,19 +270,19 @@ def train(env_factory: Callable[[], object], config: PpoConfig) -> TrainResult:
         obs_buf = np.empty((config.steps_per_update, env.observation_size))
         act_buf = np.empty(config.steps_per_update, dtype=np.int64)
         logp_buf = np.empty(config.steps_per_update)
-        val_buf = np.empty(config.steps_per_update)
         rew_buf = np.empty(config.steps_per_update)
         done_buf = np.zeros(config.steps_per_update, dtype=bool)
         window_returns: List[float] = []
 
         for t in range(config.steps_per_update):
-            out_policy = policy_forward(params, obs)
-            action, logp = sample_action(out_policy, action_rng)
-            outcome = env.step(action)
+            if obs.shape != obs_buf.shape[1:]:
+                raise DimensionMismatchError(
+                    f"observation shape {obs.shape} does not fit {obs_buf.shape[1:]}")
             obs_buf[t] = obs
+            action, logp = act(params, obs_buf[t:t + 1], action_rng)
+            outcome = env.step(action)
             act_buf[t] = action
             logp_buf[t] = logp
-            val_buf[t] = out_policy.state_value
             rew_buf[t] = outcome.reward
             done_buf[t] = outcome.episode_done
             episode_return += outcome.reward
@@ -285,6 +293,7 @@ def train(env_factory: Callable[[], object], config: PpoConfig) -> TrainResult:
             else:
                 obs = outcome.observation
 
+        val_buf = state_values(params, obs_buf)
         if done_buf[-1]:
             bootstrap = 0.0
         else:

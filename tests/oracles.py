@@ -508,3 +508,45 @@ class AdamReference:
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
             a -= learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+def reference_rollout(env_factory, config):
+    """ppo.train's loop with one batch-1 policy_forward and one sample_action
+    per step, each step's value taken from that forward: the rollout that
+    the actor-only steps and the stacked critic pass replace. Updates with
+    the trajectories it collects and returns them, one per update."""
+    from slice_arena import ppo
+    from slice_arena.policy import (AdamOptimizer, init_parameters,
+                                    policy_forward, sample_action)
+
+    env = env_factory()
+    params = init_parameters(env.observation_size, env.n_actions,
+                             hidden=config.hidden_sizes, seed=config.seed)
+    optimizer = AdamOptimizer()
+    action_rng, shuffle_rng, episode_seeds = (
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, s))))
+        for s in (ppo._STREAM_ACTIONS, ppo._STREAM_SHUFFLE, ppo._STREAM_EPISODES))
+    T = config.steps_per_update
+    trajectories = []
+    obs = env.reset(int(episode_seeds.integers(2**63)))
+    for _ in range(config.total_env_steps // T):
+        obs_buf, act_buf = np.empty((T, env.observation_size)), np.empty(T, dtype=np.int64)
+        logp_buf, val_buf, rew_buf = np.empty(T), np.empty(T), np.empty(T)
+        done_buf = np.zeros(T, dtype=bool)
+        for t in range(T):
+            out = policy_forward(params, obs)
+            action, logp = sample_action(out, action_rng)
+            outcome = env.step(action)
+            obs_buf[t], act_buf[t], logp_buf[t] = obs, action, logp
+            val_buf[t], rew_buf[t] = out.state_value, outcome.reward
+            done_buf[t] = outcome.episode_done
+            if outcome.episode_done:
+                obs = env.reset(int(episode_seeds.integers(2**63)))
+            else:
+                obs = outcome.observation
+        bootstrap = 0.0 if done_buf[-1] else policy_forward(params, obs).state_value
+        traj = ppo.Trajectory(obs_buf, act_buf, logp_buf, val_buf, rew_buf,
+                              done_buf, bootstrap)
+        trajectories.append(traj)
+        ppo.update(params, traj, config, optimizer, shuffle_rng)
+    return trajectories

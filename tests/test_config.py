@@ -30,13 +30,20 @@ MINIMAL = textwrap.dedent("""\
     delay_budget = 1.07
 """)
 
-# a non-finite value for each key where one would parse, and its line
+HUGE = "9" * 400  # an int too large for a float
+# a non-finite value for each key where one would parse, and for each
+# int-valued key an int too large for a float; and its line
 NON_FINITE = {
     "kappa": ("kappa = nan\n" + MINIMAL, 1),
     "m_penalty": ("m_penalty = inf\n" + MINIMAL, 1),
     "priority": (MINIMAL.replace("priority = 1", "priority = nan"), 9),
     "power_low": (MINIMAL.replace("power_low = 10", "power_low = -inf"), 5),
     "power_high": (MINIMAL.replace("power_high = 20", "power_high = inf"), 6),
+    "horizon": (f"horizon = {HUGE}\n" + MINIMAL, 1),
+    "chain_capacity": (MINIMAL + f"chain_capacity = {HUGE}\n", 18),
+    "seeds": (f"kappa = 2\nseeds = {HUGE}\n" + MINIMAL, 2),
+    "seeds-list": (f"seeds = 1, {HUGE}\n" + MINIMAL, 1),
+    "seeds-range": (f"seeds = 1:{HUGE}\n" + MINIMAL, 1),
 }
 
 class TestPaperConfig:

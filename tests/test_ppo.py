@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slice_arena.env import StepOutcome
-from slice_arena.policy import (AdamOptimizer, MlpParameters, backward_batch,
-                                forward_batch, init_parameters, policy_forward)
+from slice_arena import ppo
+from slice_arena.adversary import AttackConfig, PoisonedEnv
+from slice_arena.env import SliceEnv, StepOutcome
+from slice_arena.policy import (AdamOptimizer, DimensionMismatchError,
+                                MlpParameters, backward_batch, forward_batch,
+                                init_parameters, policy_forward, state_values)
 from slice_arena.ppo import (NonFiniteLossError, PpoConfig, Trajectory,
                              clipped_surrogate_loss, compute_advantages,
                              normalize_advantages, train, update)
 
 from conftest import make_scenario, make_slice
-from oracles import gae_reference, numerical_gradient
+from oracles import gae_reference, numerical_gradient, reference_rollout
 
 
 def make_traj(rewards, values, bootstrap, dones=None, obs_dim=2):
@@ -325,3 +330,90 @@ class TestTrain:
             assert np.isfinite(a).all()
         assert result.curve[-1].entropy >= 0.0
         assert math.isfinite(result.curve[-1].mean_episode_reward)
+
+
+class FaultyBandit(TwoArmedBandit):
+    """TwoArmedBandit whose observation after the given step is `bad`."""
+
+    def __init__(self, at, bad):
+        self.at, self.bad, self.steps = at, np.asarray(bad, dtype=np.float64), 0
+
+    def step(self, decision):
+        outcome = super().step(decision)
+        self.steps += 1
+        if self.steps == self.at:
+            return outcome._replace(observation=self.bad, episode_done=False)
+        return outcome
+
+
+class TestRollout:
+    """The rollout draws from the actor alone at each step and fills its
+    values in one stacked critic pass after the last; both must keep the
+    bits of one batch-1 policy_forward and sample_action per step."""
+
+    SCENARIOS = {"tiny": make_scenario(slices=(make_slice(arrival_mean=2.0),),
+                                       horizon=25),
+                 "paper": None}
+
+    @pytest.mark.parametrize("hidden", [(8,), (64, 64), (128, 128)])
+    @pytest.mark.parametrize("attacked", [False, True], ids=["clean", "poisoned"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_trajectories_match_the_batch1_reference(self, scenario, attacked,
+                                                     hidden, paper_cfg, monkeypatch):
+        scenario_config = self.SCENARIOS[scenario] or paper_cfg
+
+        def factory():
+            env = SliceEnv(scenario_config)
+            return PoisonedEnv(env, AttackConfig(seed=3)) if attacked else env
+
+        # 300 steps: two full 128-row critic chunks and a remainder of 44
+        config = PpoConfig(steps_per_update=300, total_env_steps=600,
+                           minibatch_size=100, epochs_per_update=2,
+                           hidden_sizes=hidden, seed=5)
+        expected = reference_rollout(factory, config)
+        seen = []
+        real_update = ppo.update
+
+        def capture(params, traj, *args):
+            seen.append(traj)
+            return real_update(params, traj, *args)
+
+        monkeypatch.setattr(ppo, "update", capture)
+        train(factory, config)
+        assert len(seen) == len(expected) == 2
+        for got, want in zip(seen, expected):
+            for name in ("observations", "actions", "log_probs", "values",
+                         "rewards", "dones"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+            assert float(got.bootstrap_value).hex() == float(want.bootstrap_value).hex()
+
+    @given(st.integers(1, 12), st.lists(st.integers(1, 130), min_size=1, max_size=2),
+           st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_critic_pass_is_batch1(self, width, hidden, rows, seed):
+        params = init_parameters(width, 3, hidden=hidden, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        obs = rng.normal(scale=rng.uniform(0.1, 10.0), size=(rows, width))
+        values = state_values(params, obs)
+        assert values.shape == (rows,)
+        for row, value in zip(obs, values.tolist()):
+            assert value.hex() == policy_forward(params, row).state_value.hex()
+
+    def test_wrong_width_observation_raises_at_its_step(self):
+        config = PpoConfig(steps_per_update=32, minibatch_size=32,
+                           total_env_steps=32, hidden_sizes=(4,), seed=0)
+        env = FaultyBandit(at=5, bad=[1.0, 0.0])
+        with pytest.raises(DimensionMismatchError, match="shape"):
+            train(lambda: env, config)
+        assert env.steps == 5
+
+    def test_non_finite_observation_raises_before_any_update(self, monkeypatch):
+        config = PpoConfig(steps_per_update=32, minibatch_size=32,
+                           total_env_steps=64, hidden_sizes=(4,), seed=0)
+        env = FaultyBandit(at=5, bad=[math.nan])
+        monkeypatch.setattr(ppo, "update", lambda *args: pytest.fail("updated"))
+        with pytest.raises(ValueError, match="non-finite"):
+            train(lambda: env, config)
+        assert env.steps == 32  # the rollout ran to its end

@@ -70,10 +70,12 @@ def test_traced_baselines_count_every_decision(paper_cfg, monkeypatch):
     assert tracer.calls["baselines.oracle_call"] == decided_slots
 
 
-def test_traced_training_counts_every_layer():
-    # ppo.train must look up policy_forward, forward_batch, backward_batch and
-    # compute_advantages when it runs; a bound or inlined callee would zero
-    # that layer's per-layer metric without failing anything else
+def test_traced_training_counts_every_layer(monkeypatch):
+    # ppo.train must look up act, policy_forward, forward_batch,
+    # backward_batch and compute_advantages when it runs; a bound or inlined
+    # callee would zero that layer's per-layer metric without failing
+    # anything else. The rollout steps the actor alone (act), so the batch-1
+    # policy_forward span sees only the bootstrap values.
     from conftest import make_scenario, make_slice
 
     scenario = make_scenario(slices=(make_slice(arrival_mean=2.0),), horizon=25)
@@ -90,13 +92,22 @@ def test_traced_training_counts_every_layer():
                                    total_env_steps=updates * steps,
                                    minibatch_size=minibatch,
                                    epochs_per_update=epochs, hidden_sizes=(8,))
+    actor_steps = []
+    real_act = slice_arena.ppo.act
+
+    def counted_act(*args):
+        actor_steps.append(args)
+        return real_act(*args)
+
+    monkeypatch.setattr(slice_arena.ppo, "act", counted_act)
     with tracing.Tracer(slice_arena) as tracer:
         slice_arena.ppo.train(lambda: RecordingEnv(scenario), config)
     minibatches = updates * epochs * (steps // minibatch)
     bootstraps = sum(not dones[(u + 1) * steps - 1] for u in range(updates))
     assert len(dones) == updates * steps
     assert tracer.calls["env.step"] == updates * steps
-    assert tracer.calls["policy.forward1"] == updates * steps + bootstraps
+    assert len(actor_steps) == updates * steps
+    assert tracer.calls["policy.forward1"] == bootstraps
     assert tracer.calls["policy.forward_batch"] == minibatches
     assert tracer.calls["policy.backward"] == minibatches
     assert tracer.calls["policy.adam"] == minibatches
